@@ -2,25 +2,33 @@
 
 The kernel's hot path is queue push/pop/cancel.  Both implementations
 must order events identically (also property-tested in tests/); here we
-measure the throughput difference on the full Table 1 workload.
+measure the throughput difference on the full Table 1 workload, with the
+reference kernel driving each queue.
 """
 
 import pytest
 
-from repro.config import DelayMode, ddm_config
-from repro.core.engine import simulate
+from repro.config import ddm_config
+from repro.core.engine import HalotisSimulator, run_stimulus
+from repro.core.event_queue import BinaryHeapQueue, SortedListQueue
 from repro.experiments import common
 from repro.stimuli.vectors import multiplication_sequence
 
 
-@pytest.mark.parametrize("queue_kind", ["heap", "sorted-list"])
-def test_queue_throughput(benchmark, queue_kind):
+def _simulate_on(queue_class, stimulus, config):
+    simulator = HalotisSimulator(common.multiplier_netlist(), config=config)
+    simulator.queue = queue_class()
+    return run_stimulus(simulator, stimulus)
+
+
+@pytest.mark.parametrize(
+    "queue_class", [BinaryHeapQueue, SortedListQueue],
+    ids=["heap", "sorted-list"],
+)
+def test_queue_throughput(benchmark, queue_class):
     stimulus = multiplication_sequence(common.SEQUENCE_OPERANDS[2])
     config = ddm_config(record_traces=False)
-    result = benchmark(
-        simulate, common.multiplier_netlist(), stimulus,
-        config=config, queue_kind=queue_kind,
-    )
+    result = benchmark(_simulate_on, queue_class, stimulus, config)
     assert result.stats.events_executed > 0
 
 
@@ -28,14 +36,8 @@ def test_queue_kinds_identical_results(benchmark):
     stimulus = multiplication_sequence(common.SEQUENCE_OPERANDS[1])
 
     def run_both():
-        heap = simulate(
-            common.multiplier_netlist(), stimulus,
-            config=ddm_config(), queue_kind="heap",
-        )
-        sorted_list = simulate(
-            common.multiplier_netlist(), stimulus,
-            config=ddm_config(), queue_kind="sorted-list",
-        )
+        heap = _simulate_on(BinaryHeapQueue, stimulus, ddm_config())
+        sorted_list = _simulate_on(SortedListQueue, stimulus, ddm_config())
         return heap, sorted_list
 
     heap, sorted_list = benchmark(run_both)

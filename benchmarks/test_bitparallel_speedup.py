@@ -61,11 +61,9 @@ def _throughput_config():
 
 
 def _word_kernel(netlist, config, lanes):
-    from repro.core.bitparallel import _WordKernel, _make_word_queue
+    from repro.core.bitparallel import _WordKernel
 
-    return _WordKernel(
-        netlist.compile(), config, lanes, queue=_make_word_queue("heap")
-    )
+    return _WordKernel(netlist.compile(), config, lanes)
 
 
 def test_bitparallel_batch_throughput(benchmark, bench_record):

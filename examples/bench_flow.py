@@ -6,7 +6,7 @@ Run:  python examples/bench_flow.py [circuit.bench]
 Demonstrates the interoperability path a downstream user would take:
 
 1. parse a ``.bench`` netlist (the embedded c17 by default),
-2. report structure and static timing (critical path),
+2. report structure and static timing (arrival windows, critical paths),
 3. expand macro cells to analog-ready primitives,
 4. cross-simulate: HALOTIS-DDM vs the analog engine on random vectors,
 5. export artifacts: VCD waveforms and a SPICE deck.
@@ -21,7 +21,7 @@ from repro.analysis.report import Table
 from repro.circuit import bench_io, stats
 from repro.circuit.expand import expand_netlist, is_primitive
 from repro.config import ddm_config
-from repro.core import timing_analysis as sta
+from repro.analysis import sta
 from repro.core.engine import simulate
 from repro.io_formats.spice import write_spice
 from repro.io_formats.vcd import write_vcd

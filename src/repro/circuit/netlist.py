@@ -16,7 +16,7 @@ values, last output transition, pending events) lives in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ConnectivityError, NetlistError
 from .cells import CellSpec
@@ -154,9 +154,11 @@ class Netlist:
         self.gates: Dict[str, Gate] = {}
         self.primary_inputs: List[Net] = []
         self.primary_outputs: List[Net] = []
-        #: bumped on every structural change; lets ``compile()`` cache.
+        #: bumped on every structural change; lets ``compile()`` and
+        #: ``topological_gates()`` cache.
         self._structure_version = 0
         self._compiled_cache = None
+        self._topo_cache: Optional[Tuple[int, List[Gate]]] = None
 
     # ------------------------------------------------------------------
     # construction primitives
@@ -386,12 +388,23 @@ class Netlist:
     def topological_gates(self) -> List[Gate]:
         """Gates in topological (driver-before-reader) order.
 
+        The order is cached until the next structural change, like
+        :meth:`compile`; each call returns a fresh list.
+
         Raises:
             NetlistError: when the netlist has a combinational cycle; the
                 message names one gate on the cycle.  Feedback circuits
                 (e.g. the RS-latch example) must use relaxation-based
                 initialisation instead.
         """
+        cached = self._topo_cache
+        if cached is None or cached[0] != self._structure_version:
+            cached = (self._structure_version, self._sort_gates())
+            self._topo_cache = cached
+        return list(cached[1])
+
+    def _sort_gates(self) -> List[Gate]:
+        """Kahn's algorithm over the gate graph (uncached)."""
         remaining_fanin: Dict[Gate, int] = {}
         ready: List[Gate] = []
         for gate in self.gates.values():

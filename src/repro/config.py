@@ -189,6 +189,16 @@ class SimulationConfig:
         kinds pass: ``make_engine`` raises the canonical
         "unknown engine kind" error for those.
         """
+        if not isinstance(self.delay_mode, DelayMode):
+            raise ValueError(
+                "delay_mode must be a DelayMode member, got %r"
+                % (self.delay_mode,)
+            )
+        if not isinstance(self.inertial_policy, InertialPolicy):
+            raise ValueError(
+                "inertial_policy must be an InertialPolicy member, got %r"
+                % (self.inertial_policy,)
+            )
         if not isinstance(self.engine_kind, str) or not self.engine_kind:
             raise ValueError("engine_kind must be a non-empty string")
         # Imported lazily: repro.core.engine imports this module at

@@ -18,7 +18,7 @@ Public surface:
 
 from .transition import Transition
 from .events import Event
-from .event_queue import BinaryHeapQueue, SortedListQueue, make_queue
+from .event_queue import BinaryHeapQueue
 from .delay_model import DelayModel, DelayRequest, DelayResult
 from .ddm import DegradationDelayModel
 from .cdm import ConventionalDelayModel
@@ -43,8 +43,6 @@ __all__ = [
     "Transition",
     "Event",
     "BinaryHeapQueue",
-    "SortedListQueue",
-    "make_queue",
     "DelayModel",
     "DelayRequest",
     "DelayResult",

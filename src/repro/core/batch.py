@@ -162,13 +162,12 @@ def _simulate_shard(payload) -> List[SimulationResult]:
     re-lower.  Engines are stripped from the returned results — they
     are process-local and expensive to pickle.
     """
-    netlist, stimuli, config, settle, queue_kind, seed, engine_kind = payload
+    netlist, stimuli, config, settle, seed, engine_kind = payload
     batch = simulate_batch(
         netlist,
         stimuli,
         config=config,
         settle=settle,
-        queue_kind=queue_kind,
         seed=seed,
         engine_kind=engine_kind,
         jobs=1,
@@ -183,7 +182,6 @@ def simulate_batch(
     stimuli: Sequence,
     config: Optional[SimulationConfig] = None,
     settle: float = 0.0,
-    queue_kind: str = "heap",
     seed: Optional[Mapping[str, int]] = None,
     engine_kind: Optional[str] = None,
     jobs: Optional[int] = None,
@@ -194,9 +192,9 @@ def simulate_batch(
 
     Every entry of ``stimuli`` follows the
     :class:`repro.stimuli.vectors.VectorSequence` protocol; ``config``,
-    ``settle``, ``queue_kind``, ``seed`` and ``engine_kind`` mean
-    exactly what they mean for :func:`repro.core.engine.simulate` and
-    apply to every vector.  Result ``i`` is bit-identical to
+    ``settle``, ``seed`` and ``engine_kind`` mean exactly what they
+    mean for :func:`repro.core.engine.simulate` and apply to every
+    vector.  Result ``i`` is bit-identical to
     ``simulate(netlist, stimuli[i], ...)``.
 
     ``jobs`` (default ``config.batch_jobs``) > 1 shards the batch
@@ -222,17 +220,16 @@ def simulate_batch(
     pool's engines do the work, nothing is re-lowered or re-spawned,
     and ``jobs``/``chunk_size`` are ignored (the service's own worker
     count applies).  The service must have been built for the same
-    netlist, and any ``config``/``queue_kind``/``engine_kind`` given
-    here must match the service's — its workers were constructed with
-    those knobs and cannot change them per call.
+    netlist, and any ``config``/``engine_kind`` given here must match
+    the service's — its workers were constructed with those knobs and
+    cannot change them per call.
     """
     stimuli = list(stimuli)
     if not stimuli:
         raise SimulationError("simulate_batch() needs at least one stimulus")
     if service is not None:
         return _simulate_via_service(
-            service, netlist, stimuli, config, settle, queue_kind,
-            seed, engine_kind,
+            service, netlist, stimuli, config, settle, seed, engine_kind,
         )
     if config is None:
         config = SimulationConfig()
@@ -279,8 +276,7 @@ def simulate_batch(
             # instead of replaying the event loop per vector.  Sharded
             # calls compose — each shard worker lands here with jobs=1.
             results = engine_cls.run_lockstep_batch(
-                netlist, stimuli, config=config, settle=settle,
-                queue_kind=queue_kind, seed=seed,
+                netlist, stimuli, config=config, settle=settle, seed=seed,
             )
             if config is not None and config.check_sta_bounds:
                 # Lockstep kernels bypass run_stimulus (its oracle hook
@@ -295,8 +291,7 @@ def simulate_batch(
                 )
         else:
             simulator = make_engine(
-                netlist, config=config, queue_kind=queue_kind,
-                engine_kind=engine_kind,
+                netlist, config=config, engine_kind=engine_kind
             )
             results = [
                 run_stimulus(simulator, stimulus, settle=settle, seed=seed)
@@ -304,8 +299,8 @@ def simulate_batch(
             ]
     else:
         results = _simulate_sharded(
-            netlist, stimuli, config, settle, queue_kind, seed, engine_kind,
-            jobs, chunk_size,
+            netlist, stimuli, config, settle, seed, engine_kind, jobs,
+            chunk_size,
         )
 
     batch = BatchResult(
@@ -414,7 +409,6 @@ def _simulate_via_service(
     stimuli: List,
     config: Optional[SimulationConfig],
     settle: float,
-    queue_kind: str,
     seed: Optional[Mapping[str, int]],
     engine_kind: Optional[str],
 ) -> BatchResult:
@@ -432,11 +426,6 @@ def _simulate_via_service(
             "config cannot change per call on a warm service; pass the "
             "config to SimulationService() instead"
         )
-    if queue_kind != service.queue_kind:
-        raise ServiceError(
-            "queue_kind %r does not match the service's %r"
-            % (queue_kind, service.queue_kind)
-        )
     if engine_kind is not None and engine_kind != service.engine_kind:
         raise ServiceError(
             "engine_kind %r does not match the service's %r"
@@ -450,7 +439,6 @@ def _simulate_sharded(
     stimuli: List,
     config: SimulationConfig,
     settle: float,
-    queue_kind: str,
     seed: Optional[Mapping[str, int]],
     engine_kind: str,
     jobs: int,
@@ -474,7 +462,6 @@ def _simulate_sharded(
                         stimuli[start:end],
                         config,
                         settle,
-                        queue_kind,
                         seed,
                         engine_kind,
                     ),

@@ -59,10 +59,12 @@ pending word events of one gate input coalesce within a small *batch
 hold* window (the netlist's mean base arc delay; zero at N = 1) that
 re-aligns staggered wavefronts so a wide batch stays word-parallel.  A
 single-direction word event (always the case at N = 1) performs exactly
-the compiled CDM engine's float operations in the same order, so the
-registered single-stimulus backend is bit-identical to
-``engine_kind="compiled"`` under ``cdm_config()`` — pinned by
-``tests/core/test_bitparallel_parity.py``.  Per-lane **logic values**
+the compiled CDM engine's float operations in the same order, so a
+one-lane batch is bit-identical to ``engine_kind="compiled"`` under
+``cdm_config()`` — pinned by ``tests/core/test_bitparallel_parity.py``.
+A single run on the ``"bitparallel"`` backend (``simulate()``, service
+workers, the server, the CLI) executes on the inherited compiled
+kernel with CDM timing, which is that same result.  Per-lane **logic values**
 are exact for every lane count: parity-tested bit for bit against the
 reference engine.  Waveform timing of multi-lane batches is
 approximate; use ``"vector"`` when per-lane analog timing matters and
@@ -80,23 +82,17 @@ words — count bit ``p`` of all lanes in one word row — which the
 from __future__ import annotations
 
 import time as _time
-from bisect import insort as _insort
-from heapq import heappop as _heappop, heappush as _heappush
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import config as _config_module
 from ..circuit.evaluate import evaluate_netlist
 from ..circuit.logic import evaluate as evaluate_function
-from ..circuit.netlist import Net, Netlist
+from ..circuit.netlist import Netlist
 from ..config import InertialPolicy, SimulationConfig
 from ..errors import SimulationError, SimulationLimitError, StimulusError
-from .compiled import CompiledNetlist
-from .engine import (
-    EngineBase,
-    FilteredEventRecord,
-    SimulationResult,
-    register_engine,
-)
+from .compiled import CompiledNetlist, CompiledSimulator
+from .engine import SimulationResult, register_engine
+from .event_queue import EXECUTED, PENDING, EntryHeapQueue
 from .stats import SimulationStatistics
 from .trace import TraceSet
 from .transition import Transition
@@ -123,119 +119,10 @@ def _require_numpy() -> None:
 # *queue* time (threshold crossing plus the batch hold); ``W_CROSS``
 # keeps the true crossing, which all downstream timing derives from so
 # the hold never accumulates across levels.  At N = 1 the hold is zero
-# and the two coincide.
+# and the two coincide.  The time, seq and state slots are the ones
+# :class:`~repro.core.event_queue.EntryHeapQueue` reads.
 (W_TIME, W_SEQ, W_UID, W_MASK, W_RISING, W_T50, W_DUR, W_STATE,
  W_CROSS) = range(9)
-_PENDING, _CANCELLED, _EXECUTED = 0, 1, 2
-
-
-# ----------------------------------------------------------------------
-# word-event queues (same disciplines and lifecycle as the compiled
-# backend's, over word entries)
-# ----------------------------------------------------------------------
-
-class _WordHeapQueue:
-    """Binary heap with lazy cancellation, over word entries."""
-
-    def __init__(self):
-        self._heap: List[list] = []
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(self, entry: list) -> None:
-        _heappush(self._heap, entry)
-        self._live += 1
-
-    def cancel(self, entry: list) -> None:
-        if entry[W_STATE] == _PENDING:
-            entry[W_STATE] = _CANCELLED
-            self._live -= 1
-
-    def pop(self) -> Optional[list]:
-        heap = self._heap
-        while heap:
-            entry = _heappop(heap)
-            if entry[W_STATE] == _CANCELLED:
-                continue
-            self._live -= 1
-            return entry
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        heap = self._heap
-        while heap and heap[0][W_STATE] == _CANCELLED:
-            _heappop(heap)
-        return heap[0][W_TIME] if heap else None
-
-    def clear(self) -> None:
-        self._heap.clear()
-        self._live = 0
-
-
-def _descending_key(entry: list) -> Tuple[float, int]:
-    return (-entry[W_TIME], -entry[W_SEQ])
-
-
-class _WordSortedQueue:
-    """Descending sorted list (earliest entry last, O(1) pops)."""
-
-    def __init__(self):
-        self._entries: List[list] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def push(self, entry: list) -> None:
-        _insort(self._entries, entry, key=_descending_key)
-
-    def cancel(self, entry: list) -> None:
-        if entry[W_STATE] != _PENDING:
-            return
-        entry[W_STATE] = _CANCELLED
-        # Eager removal keeps peek_time O(1); the entry is findable by
-        # its (unique) sort key.
-        entries = self._entries
-        position = len(entries) - 1
-        while position >= 0 and entries[position] is not entry:
-            position -= 1
-        if position >= 0:
-            entries.pop(position)
-
-    def pop(self) -> Optional[list]:
-        entries = self._entries
-        return entries.pop() if entries else None
-
-    def peek_time(self) -> Optional[float]:
-        entries = self._entries
-        return entries[-1][W_TIME] if entries else None
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-_WORD_QUEUES = {
-    "heap": _WordHeapQueue,
-    "sorted-list": _WordSortedQueue,
-}
-
-
-def _make_word_queue(queue_kind: str):
-    try:
-        factory = _WORD_QUEUES[queue_kind]
-    except KeyError:
-        raise SimulationError(
-            "unknown queue kind %r (choose from %s)"
-            % (queue_kind, sorted(_WORD_QUEUES))
-        ) from None
-    return factory()
 
 
 # ----------------------------------------------------------------------
@@ -349,19 +236,6 @@ def _unpack_masks(masks: Sequence[int], lanes: int):
         axis=1,
         bitorder="little",
     )[:, :lanes]
-
-
-def _mask_lane_counts(masks: Sequence[int], lanes: int):
-    """Recorded masks -> per-lane counts, as an int64 numpy array."""
-    if not masks:
-        return _np.zeros(lanes, _np.int64)
-    return _unpack_masks(masks, lanes).sum(axis=0, dtype=_np.int64)
-
-
-def _lane_total(masks: Sequence[int], lane: int) -> int:
-    """One lane's count out of a recorded mask list (no numpy)."""
-    bit = 1 << lane
-    return sum(1 for mask in masks if mask & bit)
 
 
 def _multi_mask_lane_counts(mask_lists: Sequence[Sequence[int]],
@@ -648,32 +522,26 @@ class _WordKernel:
     """One HALOTIS-CDM event kernel over N lane-packed stimuli.
 
     All dynamic logic state is lane words; the static tables come from
-    one frozen :meth:`CompiledNetlist.as_numpy` export.  The kernel is
-    driven from the outside through ``queue``/:meth:`execute` so the
-    registered single-stimulus engine (via :meth:`EngineBase.run`) and
-    the lockstep batch driver share one hot path.
+    one frozen :meth:`CompiledNetlist.as_numpy` export.  The lockstep
+    driver runs it from the outside through :meth:`run_until` and
+    :meth:`broadcast`.
     """
 
     def __init__(self, compiled: CompiledNetlist, config: SimulationConfig,
-                 lanes: int, queue):
+                 lanes: int):
         _require_numpy()
         export = compiled.as_numpy()
         self.compiled = compiled
         self.config = config
         self.lanes = lanes
         self.full_mask = (1 << lanes) - 1
-        self.queue = queue
+        self.queue = EntryHeapQueue()
 
-        policy = config.inertial_policy
-        if policy not in (InertialPolicy.EVENT_ORDER,
-                          InertialPolicy.PEAK_VOLTAGE):
-            raise ValueError("unknown inertial policy %r" % (policy,))
-        self._event_order = policy is InertialPolicy.EVENT_ORDER
+        self._event_order = config.inertial_policy is InertialPolicy.EVENT_ORDER
         self._min_delay = config.min_delay
         self._resolution = config.time_resolution
         self._max_events = config.max_events
         self._record_traces = config.record_traces
-        self._record_filtered = config.record_filtered
 
         # Static tables.  Plain-list mirrors of the export: the event
         # loop indexes with Python ints, where numpy scalar boxing
@@ -702,8 +570,8 @@ class _WordKernel:
         # different crossings; scheduling each word event one typical
         # base delay late lets those arrivals merge into the pending
         # word instead of opening fresh events, which is where the
-        # whole-batch event collapse comes from.  Zero at N = 1, so the
-        # single-stimulus backend stays bit-identical to compiled CDM;
+        # whole-batch event collapse comes from.  Zero at N = 1, so a
+        # one-lane batch stays bit-identical to compiled CDM;
         # for batches it is part of the CDM-grade timing contract
         # (logic values are unaffected: scheduled transitions per
         # (input, lane) alternate and the inertial rule removes pairs).
@@ -752,8 +620,6 @@ class _WordKernel:
         self._toggle_counts = None
         #: per lane: list of NetTrace indexed by net id (None = off).
         self.trace_lists: List[Optional[list]] = [None] * lanes
-        #: per lane: destination for FilteredEventRecords (None = off).
-        self.filtered_logs: List[Optional[list]] = [None] * lanes
 
     # -- lifecycle -----------------------------------------------------
 
@@ -872,7 +738,7 @@ class _WordKernel:
                 "event budget (%d) exhausted at t=%.4f ns — zero-delay "
                 "oscillation?" % (self._max_events, self.now)
             )
-        entry[W_STATE] = _EXECUTED
+        entry[W_STATE] = EXECUTED
         self.now = entry[W_TIME]
         # All timing derives from the true crossing, not the held queue
         # time, so the batch hold delays execution order only.
@@ -1001,7 +867,7 @@ class _WordKernel:
             new_mask = mask
             new_rising = rising_mask
 
-            if previous is not None and previous[W_STATE] == _PENDING:
+            if previous is not None and previous[W_STATE] == PENDING:
                 if self._event_order:
                     annihilate = crossing <= previous[W_TIME] + resolution
                     event_time = crossing
@@ -1032,11 +898,6 @@ class _WordKernel:
                             queue.cancel(previous)
                             stack.pop()
                         self.filtered_masks.append(overlap)
-                        if self._record_filtered:
-                            self._log_filtered(
-                                overlap, uid, net_index, now,
-                                previous[W_TIME], crossing,
-                            )
                         new_mask &= ~overlap
                         new_rising &= ~overlap
                         if new_mask == 0:
@@ -1074,7 +935,7 @@ class _WordKernel:
 
             seq += 1
             entry = [event_time + hold, seq, uid, new_mask, new_rising,
-                     t50, duration, _PENDING, event_time]
+                     t50, duration, PENDING, event_time]
             queue.push(entry)
             stack.append(entry)
             self.scheduled_masks.append(new_mask)
@@ -1112,25 +973,6 @@ class _WordKernel:
         corrected = crossing - (1.0 - peak) * duration
         return max(corrected, previous[W_TIME] + self._resolution)
 
-    def _log_filtered(self, overlap: int, uid: int, net_index: int,
-                      now: float, previous_time: float,
-                      new_time: float) -> None:
-        compiled = self.compiled
-        gate_name = compiled.gate_names[compiled.input_gate[uid]]
-        pin_index = compiled.input_pin[uid]
-        net_name = compiled.net_names[net_index]
-        for lane in _iter_lanes(overlap):
-            log = self.filtered_logs[lane]
-            if log is not None:
-                log.append(FilteredEventRecord(
-                    time_now=now,
-                    gate_name=gate_name,
-                    pin_index=pin_index,
-                    net_name=net_name,
-                    previous_event_time=previous_time,
-                    new_event_time=new_time,
-                ))
-
     def run_until(self, until: Optional[float]) -> None:
         """Pop and execute word events up to and including ``until``."""
         queue = self.queue
@@ -1164,55 +1006,6 @@ class _WordKernel:
         self._toggle_counts = counts
         self.toggles_dirty = False
         return counts
-
-    def lane_stats(self, lane: int) -> SimulationStatistics:
-        """One lane's counters totalled from the recorded mask lists."""
-        stats = SimulationStatistics()
-        stats.events_executed = _lane_total(self.executed_masks, lane)
-        stats.events_scheduled = _lane_total(self.scheduled_masks, lane)
-        stats.events_filtered = _lane_total(self.filtered_masks, lane)
-        stats.late_events = _lane_total(self.late_masks, lane)
-        stats.transitions_emitted = _lane_total(self.emitted_masks, lane)
-        stats.source_transitions = _lane_total(self.source_masks, lane)
-        bit = 1 << lane
-        names = self.compiled.net_names
-        toggles: Dict[str, int] = {}
-        for index, mask in self.toggle_events:
-            if mask & bit:
-                name = names[index]
-                toggles[name] = toggles.get(name, 0) + 1
-        stats.net_toggles = toggles
-        return stats
-
-    def all_lane_toggles(self) -> List[Dict[str, int]]:
-        """Per-lane ``net_toggles`` dicts for every lane at once.
-
-        The vectorised twin of N :meth:`lane_stats` calls, built from
-        one :meth:`toggle_matrix` pass.
-        """
-        return _per_lane_toggle_dicts(
-            self.toggle_matrix(), self.compiled.net_names, self.lanes
-        )
-
-    def lane_counts(self, masks: Sequence[int]):
-        """All lanes' counts of one recorded mask list (int64 array)."""
-        return _mask_lane_counts(masks, self.lanes)
-
-    def lane_value(self, lane: int, net_index: int) -> int:
-        return (self.net_val[net_index] >> lane) & 1
-
-    def lane_final_values(self, lane: int) -> Dict[str, int]:
-        names = self.compiled.net_names
-        return {
-            name: (self.net_val[index] >> lane) & 1
-            for index, name in enumerate(names)
-        }
-
-    def all_lane_final_values(self) -> List[Dict[str, int]]:
-        """Every lane's final net values in one unpack pass."""
-        names = self.compiled.net_names
-        columns = _unpack_masks(self.net_val, self.lanes).T.tolist()
-        return [dict(zip(names, column)) for column in columns]
 
     # -- packed exports ------------------------------------------------
 
@@ -1423,33 +1216,21 @@ class _WordLockstepDriver:
 # ----------------------------------------------------------------------
 
 @register_engine("bitparallel")
-class BitParallelSimulator(EngineBase):
-    """The word-level lane-packed kernel behind the engine protocol.
+class BitParallelSimulator(CompiledSimulator):
+    """The word-level lane-packed kernel, registered as a backend.
 
-    As a registered backend this class simulates one stimulus at a time
-    (a one-lane kernel, where the word timing contract degenerates to
-    exact compiled-CDM behaviour), so it slots into everything that
-    consumes ``ENGINE_KINDS`` — ``simulate()``, service workers, the
-    network server, the CLI.  Its reason to exist is the **lockstep
-    batch** class method used by :func:`repro.core.batch.simulate_batch`,
-    which packs all N vectors of a batch into lane words and advances
-    them through one word-event kernel; per-lane logic values are
+    A single run on this backend executes on the inherited compiled
+    kernel with CDM timing under any config — exactly what a one-lane
+    word kernel computes — so it slots into everything that consumes
+    ``ENGINE_KINDS`` (``simulate()``, service workers, the network
+    server, the CLI).  What the class adds is the **lockstep batch**
+    class method used by :func:`repro.core.batch.simulate_batch`, which
+    packs all N vectors of a batch into lane words and advances them
+    through one :class:`_WordKernel`; per-lane logic values are
     bit-identical to the reference backend (timing is CDM-grade — see
     the module docstring for the declared accuracy tier).
-
-    Args:
-        netlist: the circuit; lowered on construction unless a
-            pre-lowered ``compiled`` is supplied.
-        config: engine knobs (the default is HALOTIS-DDM; note the
-            degradation model is out of this backend's tier — delays
-            follow the CDM arcs either way).
-        queue_kind: word-event queue implementation (same names as the
-            other backends: ``"heap"`` or ``"sorted-list"``).
-        compiled: optional pre-built :class:`CompiledNetlist` (must wrap
-            ``netlist``); lets many simulators share one lowering.
     """
 
-    lowers_netlist = True
     lockstep_batches = True
     cli_blurb = (
         "packs whole batches into lane words, logic-exact with "
@@ -1460,21 +1241,12 @@ class BitParallelSimulator(EngineBase):
         self,
         netlist: Netlist,
         config: Optional[SimulationConfig] = None,
-        queue_kind: str = "heap",
         compiled: Optional[CompiledNetlist] = None,
     ):
-        self.ensure_available()
-        if compiled is not None and compiled.netlist is not netlist:
-            raise SimulationError(
-                "compiled netlist does not wrap the given netlist"
-            )
-        self._cn = compiled if compiled is not None else netlist.compile()
-        self._kernel: Optional[_WordKernel] = None
-        super().__init__(netlist, config=config, queue_kind=queue_kind)
-        policy = self.config.inertial_policy
-        if policy not in (InertialPolicy.EVENT_ORDER,
-                          InertialPolicy.PEAK_VOLTAGE):
-            raise ValueError("unknown inertial policy %r" % (policy,))
+        super().__init__(netlist, config=config, compiled=compiled)
+        # Degradation is out of this backend's tier: delays follow the
+        # CDM arcs whatever the config's delay mode.
+        self._use_ddm = False
 
     @classmethod
     def ensure_available(cls) -> None:
@@ -1488,7 +1260,6 @@ class BitParallelSimulator(EngineBase):
         stimuli: Sequence,
         config: Optional[SimulationConfig] = None,
         settle: float = 0.0,
-        queue_kind: str = "heap",
         seed: Optional[Mapping[str, int]] = None,
     ) -> List[SimulationResult]:
         """All N stimuli through one word kernel on a single clock.
@@ -1503,18 +1274,9 @@ class BitParallelSimulator(EngineBase):
         if config is None:
             config = SimulationConfig()
         config.validate()
-        kernel = _WordKernel(
-            netlist.compile(), config, len(stimuli),
-            queue=_make_word_queue(queue_kind),
-        )
+        kernel = _WordKernel(netlist.compile(), config, len(stimuli))
         driver = _WordLockstepDriver(netlist, kernel, stimuli, settle, seed)
         return driver.run()
-
-    def sta_time_slack(self) -> float:
-        """Oracle slack: the single-stimulus engine runs with a 1-lane
-        kernel whose batch hold is zero, so no allowance is needed."""
-        kernel = self._kernel
-        return kernel._hold if kernel is not None else 0.0
 
     @classmethod
     def sta_batch_time_slack(cls, netlist: Netlist, lanes: int) -> float:
@@ -1535,131 +1297,3 @@ class BitParallelSimulator(EngineBase):
             for arcs in (compiled.arc_rise, compiled.arc_fall)
             for arc in arcs
         ) / (2.0 * compiled.num_inputs)
-
-    @property
-    def compiled_netlist(self) -> CompiledNetlist:
-        return self._cn
-
-    @property
-    def kernel(self) -> Optional[_WordKernel]:
-        """The underlying word kernel (None before ``initialize()``)."""
-        return self._kernel
-
-    def rebind_lowering(self) -> None:
-        """Drop the cached kernel: it reads the ``as_numpy()`` export
-        (and memoises its word program content-keyed) at construction,
-        so a patched lowering needs a fresh kernel on next
-        ``initialize()``."""
-        self._kernel = None
-
-    def _make_queue(self, queue_kind: str):
-        # Validated here so a bad kind fails at make_engine() time like
-        # the other backends; the kernel drives this same queue object.
-        return _make_word_queue(queue_kind)
-
-    # -- lifecycle hooks -----------------------------------------------
-
-    def _build_state(
-        self,
-        input_values: Dict[str, int],
-        seed: Optional[Dict[str, int]],
-    ) -> Dict[str, int]:
-        values = evaluate_netlist(self.netlist, input_values, seed=seed)
-        if self._kernel is None:
-            self._kernel = _WordKernel(
-                self._cn, self.config, 1, queue=self.queue
-            )
-        # .get: an undriven, fanout-free net has no DC value; the
-        # placeholder entry is never read (not a PI, no fanouts).
-        self._kernel.reset([
-            1 if values.get(name, 0) else 0
-            for name in self._cn.net_names
-        ])
-        return values
-
-    def _after_initialize(self) -> None:
-        kernel = self._kernel
-        kernel.now = self.now
-        kernel.filtered_logs[0] = self.filtered_log
-        if self.config.record_traces:
-            kernel.trace_lists[0] = [
-                self.traces[name] for name in self._cn.net_names
-            ]
-        else:
-            kernel.trace_lists[0] = None
-
-    # -- stimulus hooks ------------------------------------------------
-
-    def _pi_value(self, net: Net) -> int:
-        return self._kernel.net_val[net.index] & 1
-
-    def _commit_pi_value(self, net: Net, value: int) -> None:
-        kernel = self._kernel
-        kernel.net_val[net.index] = (
-            (kernel.net_val[net.index] & ~1) | value
-        )
-
-    def _count_toggle(self, net: Net) -> None:
-        kernel = self._kernel
-        kernel.toggle_events.append((net.index, 1))
-        kernel.toggles_dirty = True
-
-    def _broadcast_transition(self, transition: Transition, net: Net) -> None:
-        kernel = self._kernel
-        kernel.now = self.now
-        kernel.broadcast(
-            net.index, 1, 1 if transition.rising else 0,
-            transition.t50, transition.duration,
-        )
-
-    # -- the event loop ------------------------------------------------
-
-    def _execute(self, entry: list) -> None:
-        kernel = self._kernel
-        kernel.execute(entry)
-        self.now = kernel.now
-
-    def _wave_counters(self):
-        kernel = self._kernel
-        if kernel is None:
-            return None
-        return (
-            kernel.word_events_executed,
-            _mask_popcount(kernel.executed_masks),
-        )
-
-    def _after_run(self) -> None:
-        # Mirror lane 0 of the kernel's counters into the result-facing
-        # SimulationStatistics (source_transitions is maintained by
-        # EngineBase.set_input and stays untouched; the degradation
-        # counters stay 0 — this tier never degrades).
-        kernel = self._kernel
-        stats = self.stats
-        stats.events_executed = _lane_total(kernel.executed_masks, 0)
-        stats.events_scheduled = _lane_total(kernel.scheduled_masks, 0)
-        stats.events_filtered = _lane_total(kernel.filtered_masks, 0)
-        stats.late_events = _lane_total(kernel.late_masks, 0)
-        stats.transitions_emitted = _lane_total(kernel.emitted_masks, 0)
-        names = self._cn.net_names
-        toggles: Dict[str, int] = {}
-        for index, mask in kernel.toggle_events:
-            if mask & 1:
-                name = names[index]
-                toggles[name] = toggles.get(name, 0) + 1
-        stats.net_toggles = toggles
-
-    # -- inspection ----------------------------------------------------
-
-    def value(self, net_name: str) -> int:
-        """Committed logic value of a net at the current time."""
-        self._require_ready()
-        net = self.netlist.net(net_name)
-        index = net.index
-        constant = self._cn.net_constant[index]
-        if constant is not None:
-            return constant
-        if self._cn.net_is_pi[index]:
-            return self._kernel.net_val[index] & 1
-        if self._cn.net_driver[index] < 0:
-            raise SimulationError("net %r has no driver" % net_name)
-        return self._kernel.net_val[index] & 1

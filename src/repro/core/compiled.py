@@ -35,9 +35,7 @@ engines produce bit-identical event times, traces and statistics
 
 from __future__ import annotations
 
-import heapq
 from array import array
-from bisect import bisect_left, insort
 from math import exp as _exp
 from typing import Dict, List, Optional, Tuple
 
@@ -51,6 +49,7 @@ from ..circuit.netlist import Net, Netlist
 from ..config import DelayMode, InertialPolicy, SimulationConfig
 from ..errors import SimulationError, SimulationLimitError
 from .engine import EngineBase, FilteredEventRecord, register_engine
+from .event_queue import EXECUTED, PENDING, EntryHeapQueue
 from .transition import Transition
 
 #: Largest gate arity lowered to a dense truth table; wider gates (only
@@ -59,9 +58,9 @@ _MAX_TABLE_ARITY = 16
 
 # Entry layout of a compiled event (a plain list, ordered by the first
 # two slots; ``seq`` is globally unique so comparisons never reach the
-# payload).
+# payload).  The time, seq and state slots are the ones
+# :class:`~repro.core.event_queue.EntryHeapQueue` reads.
 E_TIME, E_SEQ, E_UID, E_VALUE, E_T50, E_DUR, E_RISING, E_STATE = range(8)
-_PENDING, _CANCELLED, _EXECUTED = 0, 1, 2
 
 
 class CompiledNetlist:
@@ -495,110 +494,6 @@ class CompiledNetlist:
 
 
 # ----------------------------------------------------------------------
-# event queues over compiled entries
-# ----------------------------------------------------------------------
-
-class _CompiledHeapQueue:
-    """Binary heap with lazy cancellation, over list entries."""
-
-    def __init__(self):
-        self._heap: List[list] = []
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(self, entry: list) -> None:
-        heapq.heappush(self._heap, entry)
-        self._live += 1
-
-    def cancel(self, entry: list) -> None:
-        if entry[E_STATE] == _PENDING:
-            entry[E_STATE] = _CANCELLED
-            self._live -= 1
-
-    def pop(self) -> Optional[list]:
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            if entry[E_STATE] == _CANCELLED:
-                continue
-            self._live -= 1
-            return entry
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        heap = self._heap
-        while heap and heap[0][E_STATE] == _CANCELLED:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        return heap[0][E_TIME]
-
-    def clear(self) -> None:
-        self._heap.clear()
-        self._live = 0
-
-
-def _descending_key(entry: list) -> Tuple[float, int]:
-    return (-entry[E_TIME], -entry[E_SEQ])
-
-
-class _CompiledSortedQueue:
-    """Descending-sorted list (earliest last, so pop is O(1)); mirrors
-    :class:`repro.core.event_queue.SortedListQueue` for the ablation."""
-
-    def __init__(self):
-        self._entries: List[list] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def push(self, entry: list) -> None:
-        insort(self._entries, entry, key=_descending_key)
-
-    def cancel(self, entry: list) -> None:
-        if entry[E_STATE] != _PENDING:
-            return
-        entry[E_STATE] = _CANCELLED
-        position = bisect_left(
-            self._entries, _descending_key(entry), key=_descending_key
-        )
-        if (
-            position < len(self._entries)
-            and self._entries[position] is entry
-        ):
-            del self._entries[position]
-        else:  # pragma: no cover - defensive; keys are unique by seq
-            self._entries = [e for e in self._entries if e is not entry]
-
-    def pop(self) -> Optional[list]:
-        if not self._entries:
-            return None
-        return self._entries.pop()
-
-    def peek_time(self) -> Optional[float]:
-        if not self._entries:
-            return None
-        return self._entries[-1][E_TIME]
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-_COMPILED_QUEUES = {
-    "heap": _CompiledHeapQueue,
-    "sorted-list": _CompiledSortedQueue,
-}
-
-
-# ----------------------------------------------------------------------
 # the compiled backend
 # ----------------------------------------------------------------------
 
@@ -609,14 +504,14 @@ class CompiledSimulator(EngineBase):
     Behaviourally identical to :class:`repro.core.engine.HalotisSimulator`
     — same event order, same floats, same statistics — but the hot path
     (``_execute`` / ``_broadcast_indexed``) touches only ints, floats and
-    preallocated lists.
+    preallocated lists.  The ``"vector"`` and ``"bitparallel"`` backends
+    subclass it: their single runs are this kernel, and they add only
+    their lockstep batch paths.
 
     Args:
         netlist: the circuit; lowered on construction unless a
             pre-lowered ``compiled`` is supplied.
         config: engine knobs (the default is HALOTIS-DDM).
-        queue_kind: event-queue implementation (same names as the
-            reference backend: ``"heap"`` or ``"sorted-list"``).
         compiled: optional pre-built :class:`CompiledNetlist` (must wrap
             ``netlist``); lets many simulators share one lowering.
     """
@@ -628,7 +523,6 @@ class CompiledSimulator(EngineBase):
         self,
         netlist: Netlist,
         config: Optional[SimulationConfig] = None,
-        queue_kind: str = "heap",
         compiled: Optional[CompiledNetlist] = None,
     ):
         if compiled is not None and compiled.netlist is not netlist:
@@ -636,11 +530,10 @@ class CompiledSimulator(EngineBase):
                 "compiled netlist does not wrap the given netlist"
             )
         self._cn = compiled if compiled is not None else netlist.compile()
-        super().__init__(netlist, config=config, queue_kind=queue_kind)
-        policy = self.config.inertial_policy
-        if policy not in (InertialPolicy.EVENT_ORDER, InertialPolicy.PEAK_VOLTAGE):
-            raise ValueError("unknown inertial policy %r" % (policy,))
-        self._event_order = policy is InertialPolicy.EVENT_ORDER
+        super().__init__(netlist, config=config)
+        self._event_order = (
+            self.config.inertial_policy is InertialPolicy.EVENT_ORDER
+        )
         self._use_ddm = self.config.delay_mode is DelayMode.DDM
         self._min_delay = self.config.min_delay
         self._resolution = self.config.time_resolution
@@ -669,15 +562,8 @@ class CompiledSimulator(EngineBase):
     def compiled_netlist(self) -> CompiledNetlist:
         return self._cn
 
-    def _make_queue(self, queue_kind: str):
-        try:
-            factory = _COMPILED_QUEUES[queue_kind]
-        except KeyError:
-            raise SimulationError(
-                "unknown queue kind %r (choose from %s)"
-                % (queue_kind, sorted(_COMPILED_QUEUES))
-            ) from None
-        return factory()
+    def _new_queue(self) -> EntryHeapQueue:
+        return EntryHeapQueue()
 
     # ------------------------------------------------------------------
     # lifecycle hooks
@@ -688,8 +574,8 @@ class CompiledSimulator(EngineBase):
         input_values: Dict[str, int],
         seed: Optional[Dict[str, int]],
     ) -> Dict[str, int]:
-        values = evaluate_netlist(self.netlist, input_values, seed=seed)
         netlist = self.netlist
+        values = evaluate_netlist(netlist, input_values, seed=seed)
         self._input_values = [
             values[gate_input.net.name] for gate_input in netlist.iter_gate_inputs()
         ]
@@ -756,7 +642,7 @@ class CompiledSimulator(EngineBase):
                 "event budget (%d) exhausted at t=%.4f ns — zero-delay "
                 "oscillation?" % (self._max_events, self.now)
             )
-        entry[E_STATE] = _EXECUTED
+        entry[E_STATE] = EXECUTED
         time_now = entry[E_TIME]
         self.now = time_now
         stats.events_executed += 1
@@ -865,7 +751,7 @@ class CompiledSimulator(EngineBase):
             stack = stacks[uid]
             previous = stack[-1] if stack else None
 
-            if previous is not None and previous[E_STATE] == _PENDING:
+            if previous is not None and previous[E_STATE] == PENDING:
                 # inertial decision, inlined (see repro.core.inertial)
                 if self._event_order:
                     if crossing <= previous[E_TIME] + resolution:
@@ -905,7 +791,7 @@ class CompiledSimulator(EngineBase):
                     event_time = now
 
             seq += 1
-            entry = [event_time, seq, uid, value, t50, duration, rising, _PENDING]
+            entry = [event_time, seq, uid, value, t50, duration, rising, PENDING]
             queue.push(entry)
             stack.append(entry)
             stats.events_scheduled += 1

@@ -18,24 +18,28 @@ Primary-input stimuli enter through exactly the same broadcast path, so a
 runt pulse applied at a primary input is filtered per-input like any
 internally generated glitch.
 
-Two interchangeable *backends* implement this algorithm (see
-``ENGINE_KINDS``):
+Two single-run kernels implement this algorithm, and four registered
+backends expose them (see ``ENGINE_KINDS``):
 
 * ``"reference"`` — :class:`HalotisSimulator`, the readable object-graph
   kernel below, walking ``Netlist``/``Gate``/``GateInput`` objects;
 * ``"compiled"`` — :class:`repro.core.compiled.CompiledSimulator`, an
   array-lowered kernel whose hot path touches only integers and floats;
-* ``"vector"`` — :class:`repro.core.vector.VectorSimulator`, a numpy
-  N-lane kernel that advances whole batches in lockstep (requires
-  numpy; see ``lockstep_batches``);
+* ``"vector"`` — :class:`repro.core.vector.VectorSimulator`, the
+  compiled kernel for single runs plus a numpy N-lane kernel that
+  advances whole batches in lockstep (requires numpy; see
+  ``lockstep_batches``);
 * ``"bitparallel"`` — :class:`repro.core.bitparallel.BitParallelSimulator`,
-  a word-level kernel packing one stimulus per *bit* of a lane word
-  (requires numpy; logic-exact with CDM-grade timing — see
+  the compiled kernel with CDM timing for single runs plus a word-level
+  batch kernel packing one stimulus per *bit* of a lane word (requires
+  numpy; logic-exact with CDM-grade timing — see
   ``docs/architecture.md`` for the declared accuracy tiers).
 
 All backends share :class:`EngineBase` (lifecycle, stimulus, inspection
-and the :func:`simulate` facade).  The first three are property-tested
-to produce bit-identical traces and statistics; ``"bitparallel"`` is
+and the :func:`simulate` facade).  Single runs of every backend but
+``"bitparallel"`` are property-tested to produce bit-identical traces
+and statistics, and so are vector lockstep lanes; ``"bitparallel"``
+single runs equal compiled CDM, and its lockstep lanes are
 property-tested to produce bit-identical per-lane logic values.
 """
 
@@ -55,7 +59,7 @@ from . import inertial
 from .cdm import ConventionalDelayModel
 from .ddm import DegradationDelayModel
 from .delay_model import DelayModel, DelayRequest
-from .event_queue import make_queue
+from .event_queue import BinaryHeapQueue
 from .events import Event
 from .state import KernelState, build_state
 from .stats import SimulationStatistics
@@ -80,9 +84,9 @@ class FilteredEventRecord:
 # engine registry
 # ----------------------------------------------------------------------
 
-#: Registry of simulation backends, mirroring ``QUEUE_KINDS``.  Keys are
-#: the values accepted by ``SimulationConfig.engine_kind``, ``simulate()``
-#: and the CLI's ``--engine`` option.
+#: Registry of simulation backends.  Keys are the values accepted by
+#: ``SimulationConfig.engine_kind``, ``simulate()`` and the CLI's
+#: ``--engine`` option.
 ENGINE_KINDS: Dict[str, Type[EngineBase]] = {}
 
 
@@ -130,7 +134,6 @@ def resolve_engine_class(engine_kind: str) -> Type[EngineBase]:
 def make_engine(
     netlist: Netlist,
     config: Optional[SimulationConfig] = None,
-    queue_kind: str = "heap",
     engine_kind: Optional[str] = None,
 ) -> EngineBase:
     """Instantiate a simulation backend by name.
@@ -142,7 +145,7 @@ def make_engine(
         engine_kind = config.engine_kind if config is not None else "reference"
     factory = resolve_engine_class(engine_kind)
     factory.ensure_available()
-    return factory(netlist, config=config, queue_kind=queue_kind)
+    return factory(netlist, config=config)
 
 
 # ----------------------------------------------------------------------
@@ -191,17 +194,6 @@ class EngineBase(abc.ABC):
         time with an actionable message, never mid-simulation.
         """
 
-    def sta_time_slack(self) -> float:
-        """Per-arc upper-bound slack, in ns, the STA oracle must grant
-        this engine instance (default: none).
-
-        Backends whose scheduling contract can legitimately hold an
-        event back beyond the nominal arc delay (the bit-parallel
-        word-merge hold) report that per-level allowance here so
-        ``check_sta_bounds`` stays a zero-false-positive sanitizer.
-        """
-        return 0.0
-
     @classmethod
     def sta_batch_time_slack(cls, netlist: Netlist, lanes: int) -> float:
         """Per-arc oracle slack for a ``run_lockstep_batch`` of
@@ -213,31 +205,16 @@ class EngineBase(abc.ABC):
         """
         return 0.0
 
-    def rebind_lowering(self) -> None:
-        """Drop any backend state derived from the cached lowering
-        (default: nothing to drop).
-
-        The fault-injection layer (:mod:`repro.faults.inject`) patches
-        the shared :class:`~repro.core.compiled.CompiledNetlist` tables
-        in place and calls this before the next ``initialize()`` so
-        backends that snapshot the lowering at kernel-construction time
-        (vector, bitparallel) rebuild from the patched arrays.  The
-        reference and compiled engines read cells/tables live per event
-        and need no action.
-        """
-
     def __init__(
         self,
         netlist: Netlist,
         config: Optional[SimulationConfig] = None,
-        queue_kind: str = "heap",
     ):
         self.netlist = netlist
         self.config = config if config is not None else SimulationConfig()
         self.config.validate()
         self.vdd = netlist.vdd
-        self.queue_kind = queue_kind
-        self.queue = self._make_queue(queue_kind)
+        self.queue = self._new_queue()
         self.stats = SimulationStatistics()
         self.traces = TraceSet(self.vdd)
         self.filtered_log: list[FilteredEventRecord] = []
@@ -247,9 +224,9 @@ class EngineBase(abc.ABC):
 
     # -- hooks ---------------------------------------------------------
 
-    def _make_queue(self, queue_kind: str):
-        """Build the event queue (validated against ``QUEUE_KINDS``)."""
-        return make_queue(queue_kind)
+    def _new_queue(self):
+        """Build the event queue the kernel loop drives."""
+        return BinaryHeapQueue()
 
     @abc.abstractmethod
     def _build_state(
@@ -282,17 +259,6 @@ class EngineBase(abc.ABC):
 
     def _after_run(self) -> None:
         """Backend hook invoked after every ``run()``/``step()``."""
-
-    def _wave_counters(self) -> Optional[Tuple[int, int]]:
-        """``(waves, lanes)`` executed since the last ``initialize()``
-        by a lockstep kernel (None for scalar backends).
-
-        A *wave* is one vectorised execution step; *lanes* counts the
-        per-lane events it carried.  Read once per run by the metrics
-        publication in :func:`run_stimulus` — backends keep these as
-        plain ints so the hot path never touches a metric object.
-        """
-        return None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -475,7 +441,6 @@ class HalotisSimulator(EngineBase):
         config: engine knobs; the default is HALOTIS-DDM.
         delay_model: explicit delay model; overrides ``config.delay_mode``
             when given (used by delay-model unit tests).
-        queue_kind: event-queue implementation (``"heap"`` default).
     """
 
     cli_blurb = "readable object-graph kernel, the default"
@@ -485,9 +450,8 @@ class HalotisSimulator(EngineBase):
         netlist: Netlist,
         config: Optional[SimulationConfig] = None,
         delay_model: Optional[DelayModel] = None,
-        queue_kind: str = "heap",
     ):
-        super().__init__(netlist, config=config, queue_kind=queue_kind)
+        super().__init__(netlist, config=config)
         if delay_model is not None:
             self.delay_model = delay_model
         elif self.config.delay_mode is DelayMode.DDM:
@@ -870,8 +834,7 @@ def run_stimulus(
         wall = timer.elapsed()
         publish_engine_metrics(
             simulator.kind, counts, runs=1, run_seconds=wall,
-            phases=phases, waves=simulator._wave_counters(),
-            registry=registry,
+            phases=phases, registry=registry,
         )
         result.metrics = {
             "engine": simulator.kind,
@@ -887,13 +850,7 @@ def run_stimulus(
         # repro.core.batch).  Imported lazily: analysis sits above core.
         from ..analysis.sta import verify_result
 
-        verify_result(
-            simulator.netlist,
-            stimulus,
-            result,
-            simulator.config,
-            arc_slack=simulator.sta_time_slack(),
-        )
+        verify_result(simulator.netlist, stimulus, result, simulator.config)
     return result
 
 
@@ -902,7 +859,6 @@ def simulate(
     stimulus,
     config: Optional[SimulationConfig] = None,
     settle: float = 0.0,
-    queue_kind: str = "heap",
     seed: Optional[Mapping[str, int]] = None,
     engine_kind: Optional[str] = None,
 ) -> SimulationResult:
@@ -916,7 +872,5 @@ def simulate(
     vector's effects propagate out.  ``engine_kind`` picks the backend
     (see ``ENGINE_KINDS``); None defers to ``config.engine_kind``.
     """
-    simulator = make_engine(
-        netlist, config=config, queue_kind=queue_kind, engine_kind=engine_kind
-    )
+    simulator = make_engine(netlist, config=config, engine_kind=engine_kind)
     return run_stimulus(simulator, stimulus, settle=settle, seed=seed)

@@ -1,32 +1,46 @@
 """Time-ordered event queues.
 
 The kernel needs three operations: push, pop-earliest, and *cancel* — the
-annihilation rule of the paper's Figure 4 removes pending events.  The
-default :class:`BinaryHeapQueue` implements cancellation lazily (cancelled
-events stay in the heap and are skipped on pop), which keeps push/pop at
-O(log n) and cancel at O(1).
+annihilation rule of the paper's Figure 4 removes pending events.  Every
+queue here implements cancellation lazily or eagerly behind the same
+interface, and all of them order events by ``(time, seq)``:
 
-:class:`SortedListQueue` is a deliberately simple O(n)-insert
-implementation kept as a cross-check oracle and for the queue ablation
-benchmark (``ablC``); both classes share the same interface and must order
-events identically (property-tested).
+* :class:`BinaryHeapQueue` — the reference engine's queue over
+  :class:`~repro.core.events.Event` objects.  Cancelled events stay in
+  the heap and are skipped on pop, which keeps push/pop at O(log n) and
+  cancel at O(1).
+* :class:`EntryHeapQueue` — the same lazy heap over the plain-list
+  event entries of the compiled kernel and the bit-parallel word
+  kernel (time in slot 0, seq in slot 1, lifecycle state in slot 7).
+* :class:`SortedListQueue` — a deliberately simple O(n)-insert
+  implementation over ``Event`` objects, kept as the cross-check oracle
+  of :class:`BinaryHeapQueue` (property-tested) and as the second queue
+  of the event-queue ablation (``benchmarks/test_ablation_event_queue.py``).
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-from typing import List, Optional
+from typing import Any, List, Optional, Tuple
 
 from ..errors import SimulationError
 from .events import Event
+
+#: Slots of a list event entry read by :class:`EntryHeapQueue`.  The
+#: first two slots order entries (``seq`` is unique, so comparisons
+#: never reach the payload); the state slot carries the lifecycle.
+ENTRY_TIME, ENTRY_SEQ, ENTRY_STATE = 0, 1, 7
+
+#: Lifecycle states of a list event entry.
+PENDING, CANCELLED, EXECUTED = 0, 1, 2
 
 
 class BinaryHeapQueue:
     """Binary-heap event queue with lazy cancellation."""
 
-    def __init__(self):
-        self._heap: List[tuple] = []
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, Event]] = []
         self._live = 0
 
     def __len__(self) -> int:
@@ -73,6 +87,62 @@ class BinaryHeapQueue:
         self._live = 0
 
 
+class EntryHeapQueue:
+    """Binary heap with lazy cancellation over list event entries.
+
+    Entries are plain lists compared by their first two slots; a
+    cancelled entry keeps its place with ``entry[ENTRY_STATE] ==
+    CANCELLED`` and is skipped on pop.  The owning kernel marks popped
+    entries executed itself.
+    """
+
+    def __init__(self) -> None:
+        self._heap: List[List[Any]] = []
+        self._live = 0
+
+    def __len__(self) -> int:
+        return self._live
+
+    def __bool__(self) -> bool:
+        return self._live > 0
+
+    def push(self, entry: List[Any]) -> None:
+        heapq.heappush(self._heap, entry)
+        self._live += 1
+
+    def cancel(self, entry: List[Any]) -> None:
+        if entry[ENTRY_STATE] == PENDING:
+            entry[ENTRY_STATE] = CANCELLED
+            self._live -= 1
+
+    def pop(self) -> Optional[List[Any]]:
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            if entry[ENTRY_STATE] == CANCELLED:
+                continue
+            self._live -= 1
+            return entry
+        return None
+
+    def peek_time(self) -> Optional[float]:
+        heap = self._heap
+        while heap and heap[0][ENTRY_STATE] == CANCELLED:
+            heapq.heappop(heap)
+        if not heap:
+            return None
+        time: float = heap[0][ENTRY_TIME]
+        return time
+
+    def clear(self) -> None:
+        self._heap.clear()
+        self._live = 0
+
+
+def _ordering_key(entry: Tuple[float, int, Event]) -> Tuple[float, int]:
+    return entry[0], entry[1]
+
+
 class SortedListQueue:
     """Insertion-sorted event queue (oracle / ablation implementation).
 
@@ -83,10 +153,10 @@ class SortedListQueue:
     and cancel, O(1) pop.
     """
 
-    def __init__(self):
+    def __init__(self) -> None:
         # entries are (-time, -seq, event): ascending order on the
         # negated key is descending time order, with the earliest last.
-        self._events: List[tuple] = []
+        self._events: List[Tuple[float, int, Event]] = []
 
     def __len__(self) -> int:
         return len(self._events)
@@ -105,7 +175,9 @@ class SortedListQueue:
         if event.cancelled:
             return
         event.cancel()
-        position = bisect.bisect_left(self._events, (-event.time, -event.seq))
+        position = bisect.bisect_left(
+            self._events, (-event.time, -event.seq), key=_ordering_key
+        )
         if (
             position < len(self._events)
             and self._events[position][2] is event
@@ -127,21 +199,3 @@ class SortedListQueue:
 
     def clear(self) -> None:
         self._events.clear()
-
-
-#: Registry used by the engine's ``queue_kind`` option.
-QUEUE_KINDS = {
-    "heap": BinaryHeapQueue,
-    "sorted-list": SortedListQueue,
-}
-
-
-def make_queue(kind: str = "heap"):
-    """Instantiate an event queue by name (``"heap"`` or ``"sorted-list"``)."""
-    try:
-        factory = QUEUE_KINDS[kind]
-    except KeyError:
-        raise SimulationError(
-            "unknown queue kind %r (choose from %s)" % (kind, sorted(QUEUE_KINDS))
-        ) from None
-    return factory()

@@ -194,7 +194,6 @@ def _worker_main(
     worker_id: int,
     netlist: Netlist,
     config: SimulationConfig,
-    queue_kind: str,
     engine_kind: str,
     transport: str,
     shm_base: str,
@@ -226,9 +225,7 @@ def _worker_main(
     The generation stamp lets the parent discard messages a worker
     emitted before it was declared dead and its task requeued.
     """
-    engine = make_engine(
-        netlist, config=config, queue_kind=queue_kind, engine_kind=engine_kind
-    )
+    engine = make_engine(netlist, config=config, engine_kind=engine_kind)
     buffer = _WorkerShmBuffer(shm_base) if transport == "shm" else None
     # Engine metrics published by run_stimulus land in this worker's own
     # process-local registry; each result message carries the delta since
@@ -406,7 +403,6 @@ class SimulationService:
             ``shm_transport`` defaults via its ``service_workers`` /
             ``shm_transport`` fields.
         workers: worker-process count (>= 1).
-        queue_kind: event-queue implementation for every worker.
         engine_kind: backend (defaults to ``config.engine_kind``).
         shm_transport: True to move traces through shared memory, False
             to pickle them, None (default) to use shared memory when the
@@ -424,7 +420,6 @@ class SimulationService:
         netlist: Netlist,
         config: Optional[SimulationConfig] = None,
         workers: Optional[int] = None,
-        queue_kind: str = "heap",
         engine_kind: Optional[str] = None,
         shm_transport: Optional[bool] = None,
         max_task_retries: int = 2,
@@ -443,7 +438,6 @@ class SimulationService:
         self.netlist = netlist
         self.config = config if config is not None else SimulationConfig()
         self.config.validate()
-        self.queue_kind = queue_kind
         self.engine_kind = (
             engine_kind if engine_kind is not None else self.config.engine_kind
         )
@@ -930,7 +924,6 @@ class SimulationService:
                 worker_id,
                 self.netlist,
                 self.config,
-                self.queue_kind,
                 self.engine_kind,
                 self.transport,
                 "%sw%dr%d" % (self._shm_base, worker_id, generation),

@@ -35,41 +35,31 @@ kernels — numpy float64 arithmetic is bit-identical to CPython's for
 the last ulp on some inputs.  Masked lanes simply skip work; they
 never change another lane's arithmetic.
 
-Two front doors:
-
-* ``engine_kind="vector"`` on :func:`repro.core.engine.simulate` (and
-  everywhere else ``ENGINE_KINDS`` reaches — service workers, the
-  server registry, the CLI): :class:`VectorSimulator`, the standard
-  single-stimulus :class:`EngineBase` protocol driving a one-lane
-  kernel.  Correct everywhere, but the numpy dispatch overhead per
-  single-event wave makes it *slower* than ``"compiled"`` at N=1.
-* ``simulate_batch(..., engine_kind="vector")``: the lockstep fast
-  path (:meth:`VectorSimulator.run_lockstep_batch`) — all N vectors in
-  one kernel, which is where the throughput lives
-  (``benchmarks/test_vector_speedup.py``).
+The kernel has one front door, ``simulate_batch(...,
+engine_kind="vector")``: the lockstep fast path
+(:meth:`VectorSimulator.run_lockstep_batch`) — all N vectors in one
+kernel, which is where the throughput lives
+(``benchmarks/test_vector_speedup.py``).  A single run on the
+``"vector"`` backend (``simulate()``, service workers, the server, the
+CLI) executes on the inherited compiled kernel, which is bit-identical
+and faster than a one-lane numpy kernel.
 """
 
 from __future__ import annotations
 
 import time as _time
-from bisect import insort as _insort
 from heapq import heappop, heappush
 from math import exp as _exp, inf as _inf
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..circuit.evaluate import evaluate_netlist
 from ..circuit.logic import evaluate as evaluate_function
-from ..circuit.netlist import Net, Netlist
+from ..circuit.netlist import Netlist
 from .. import config as _config_module
 from ..config import DelayMode, InertialPolicy, SimulationConfig
 from ..errors import SimulationError, SimulationLimitError, StimulusError
-from .compiled import CompiledNetlist
-from .engine import (
-    EngineBase,
-    FilteredEventRecord,
-    SimulationResult,
-    register_engine,
-)
+from .compiled import CompiledNetlist, CompiledSimulator
+from .engine import SimulationResult, register_engine
 from .stats import SimulationStatistics
 from .trace import TraceSet
 from .transition import Transition
@@ -84,10 +74,9 @@ _PENDING, _CANCELLED, _EXECUTED = 0, 1, 2
 
 #: Waves at or below this many active lanes run the scalar per-event
 #: path: numpy dispatch costs ~60 µs per wave regardless of width, so
-#: thin waves (the single-lane engine wrapper, lockstep tail drains)
-#: are cheaper event by event.  Both paths perform the identical IEEE
-#: operation sequence and are pinned against each other by the parity
-#: suites.
+#: thin waves (small batches, lockstep tail drains) are cheaper event
+#: by event.  Both paths perform the identical IEEE operation sequence
+#: and are pinned against each other by the parity suites.
 _SCALAR_WAVE_CUTOFF = 8
 
 def _require_numpy() -> None:
@@ -96,33 +85,6 @@ def _require_numpy() -> None:
     # message is the one shared with SimulationConfig.validate().
     if _np is None or not _config_module.numpy_available():
         raise SimulationError(_config_module.NUMPY_REQUIRED_MESSAGE)
-
-
-#: Queue disciplines the kernel implements per lane (the same names as
-#: ``QUEUE_KINDS``, with lane-local implementations).
-_VECTOR_QUEUE_KINDS = ("heap", "sorted-list")
-
-
-def _check_queue_kind(queue_kind: str) -> None:
-    """The single validation (and error string) for both entry points:
-    engine construction and kernel construction."""
-    if queue_kind not in _VECTOR_QUEUE_KINDS:
-        raise SimulationError(
-            "unknown queue kind %r for the vector engine (choose from "
-            "%s)" % (queue_kind, list(_VECTOR_QUEUE_KINDS))
-        )
-
-
-def _sorted_queue_key(entry) -> tuple:
-    return (-entry[0], -entry[1])
-
-
-def _push_sorted(queue: list, entry) -> None:
-    _insort(queue, entry, key=_sorted_queue_key)
-
-
-def _pop_sorted(queue: list):
-    return queue.pop()
 
 
 # ----------------------------------------------------------------------
@@ -174,43 +136,24 @@ class _VectorKernel:
 
     All dynamic state is ``(lanes, …)``-shaped numpy; the static
     circuit tables come from one :meth:`CompiledNetlist.as_numpy`
-    export (read-only, shared).  The kernel itself is driven from the
-    outside — :meth:`pop_runnable` + :meth:`execute_wave` — so the
-    single-lane engine wrapper and the lockstep batch driver share one
-    hot path.
+    export (read-only, shared).  The lockstep driver runs it from the
+    outside through :meth:`pop_runnable` + :meth:`execute_wave`.
     """
 
     def __init__(self, compiled: CompiledNetlist, config: SimulationConfig,
-                 lanes: int, queue_kind: str = "heap"):
+                 lanes: int):
         _require_numpy()
         x = compiled.as_numpy()
         self.compiled = compiled
         self.config = config
         self.lanes = lanes
-        # Per-lane queue discipline: a binary heap, or the descending
-        # sorted list of the event-queue ablation (earliest entry last,
-        # so pops are O(1) either way).  Identical (time, seq) order.
-        _check_queue_kind(queue_kind)
-        if queue_kind == "heap":
-            self._queue_push = heappush
-            self._head = 0
-            self._head_pop = heappop
-        else:
-            self._queue_push = _push_sorted
-            self._head = -1
-            self._head_pop = _pop_sorted
 
-        policy = config.inertial_policy
-        if policy not in (InertialPolicy.EVENT_ORDER,
-                          InertialPolicy.PEAK_VOLTAGE):
-            raise ValueError("unknown inertial policy %r" % (policy,))
-        self._event_order = policy is InertialPolicy.EVENT_ORDER
+        self._event_order = config.inertial_policy is InertialPolicy.EVENT_ORDER
         self._use_ddm = config.delay_mode is DelayMode.DDM
         self._min_delay = config.min_delay
         self._resolution = config.time_resolution
         self._max_events = config.max_events
         self._record_traces = config.record_traces
-        self._record_filtered = config.record_filtered
 
         # Static tables (all read-only, straight from the export).
         self.vt_fraction = x["vt_fraction"]
@@ -288,15 +231,12 @@ class _VectorKernel:
         self.top_eid_flat = self.top_eid.reshape(-1)
         self.pool = _EventPool()
         self.heaps: List[list] = [[] for _ in range(lanes)]
-        self.toggles_dirty = False
         # Observability: plain ints bumped once per wave (two adds; the
         # registry is only touched after the run — docs/observability.md).
         self.waves_executed = 0
         self.lanes_executed = 0
         #: per lane: NetTrace list indexed by net id (None = not recording).
         self.trace_lists: List[Optional[list]] = [None] * lanes
-        #: per lane: destination for FilteredEventRecords.
-        self.filtered_logs: List[list] = [[] for _ in range(lanes)]
 
     # -- lifecycle -----------------------------------------------------
 
@@ -413,7 +353,6 @@ class _VectorKernel:
         self.pool.reset()
         for heap in self.heaps:
             heap.clear()
-        self.toggles_dirty = False
         self.waves_executed = 0
         self.lanes_executed = 0
 
@@ -424,10 +363,9 @@ class _VectorKernel:
         (-1 when there is none)."""
         heap = self.heaps[lane]
         state = self.pool.state
-        head = self._head
-        pop = self._head_pop
+        pop = heappop
         while heap:
-            entry = heap[head]
+            entry = heap[0]
             if state[entry[2]] != _PENDING:
                 pop(heap)
                 continue
@@ -436,22 +374,6 @@ class _VectorKernel:
             pop(heap)
             return entry[2]
         return -1
-
-    def peek_time(self, lane: int) -> Optional[float]:
-        heap = self.heaps[lane]
-        state = self.pool.state
-        head = self._head
-        pop = self._head_pop
-        while heap:
-            entry = heap[head]
-            if state[entry[2]] != _PENDING:
-                pop(heap)
-                continue
-            return entry[0]
-        return None
-
-    def clear_lane(self, lane: int) -> None:
-        self.heaps[lane].clear()
 
     # -- the hot path --------------------------------------------------
 
@@ -583,7 +505,6 @@ class _VectorKernel:
         out_net = self.gate_output_net[gate]
         self.transitions_emitted[lanes] += 1
         self.toggles_flat[lanes * self.num_nets + out_net] += 1
-        self.toggles_dirty = True
         if factor is not None:
             degraded = factor < 1.0
             if degraded.any():
@@ -684,7 +605,6 @@ class _VectorKernel:
         out_net = self._gon_list[gate]
         self.transitions_emitted[lane] += 1
         self.toggles[lane, out_net] += 1
-        self.toggles_dirty = True
         if factor < 1.0:
             self.transitions_degraded[lane] += 1
             if factor <= 0.0:
@@ -742,16 +662,6 @@ class _VectorKernel:
                     pool.state[previous] = _CANCELLED
                     top_flat[top_index] = previous = int(pool.prev[previous])
                     self.events_filtered[lane] += 1
-                    if self._record_filtered:
-                        compiled = self.compiled
-                        self.filtered_logs[lane].append(FilteredEventRecord(
-                            time_now=now,
-                            gate_name=compiled.gate_names[self._ig_list[uid]],
-                            pin_index=self._ip_list[uid],
-                            net_name=compiled.net_names[net_index],
-                            previous_event_time=previous_time,
-                            new_event_time=crossing,
-                        ))
                     continue
             else:
                 event_time = crossing
@@ -777,7 +687,7 @@ class _VectorKernel:
             pool.state[eid] = _PENDING
             pool.prev[eid] = previous
             top_flat[top_index] = eid
-            self._queue_push(heap, (event_time, seq, eid))
+            heappush(heap, (event_time, seq, eid))
             scheduled += 1
         self.seq[lane] = seq
         self.events_scheduled[lane] += scheduled
@@ -866,26 +776,6 @@ class _VectorKernel:
             pool.state[cancelled] = _CANCELLED
             self.top_eid_flat[top_flat[annihilate]] = pool.prev[cancelled]
             _np.add.at(self.events_filtered, lane_rep[annihilate], 1)
-            if self._record_filtered:
-                compiled = self.compiled
-                for j in _np.flatnonzero(annihilate).tolist():
-                    input_uid = int(uid[j])
-                    self.filtered_logs[int(lane_rep[j])].append(
-                        FilteredEventRecord(
-                            time_now=float(now_rep[j]),
-                            gate_name=compiled.gate_names[
-                                int(self.input_gate[input_uid])
-                            ],
-                            pin_index=int(self.input_pin[input_uid]),
-                            net_name=compiled.net_names[
-                                int(net_idx[segment[j]])
-                            ],
-                            previous_event_time=float(
-                                pool.time[int(previous[j])]
-                            ),
-                            new_event_time=float(crossing[j]),
-                        )
-                    )
 
         survives = ~annihilate
         count = int(survives.sum())
@@ -921,7 +811,7 @@ class _VectorKernel:
         self.top_eid_flat[top_new] = new_ids
 
         heaps = self.heaps
-        push = self._queue_push
+        push = heappush
         for lane, when, order, eid in zip(
             lane_new.tolist(), event_time[survives].tolist(),
             seqs[survives].tolist(), new_ids.tolist(),
@@ -966,17 +856,6 @@ class _VectorKernel:
         return max(corrected, previous_time + self._resolution)
 
     # -- inspection ----------------------------------------------------
-
-    def lane_value(self, lane: int, net_index: int, net_name: str) -> int:
-        constant = int(self.net_constant[net_index])
-        if constant >= 0:
-            return constant
-        if self.net_is_pi[net_index]:
-            return int(self.pi[lane, net_index])
-        driver = int(self.net_driver[net_index])
-        if driver < 0:
-            raise SimulationError("net %r has no driver" % net_name)
-        return int(self.gate_out[lane, driver])
 
     def lane_final_values(self, lane: int) -> Dict[str, int]:
         """Committed value of every net in one lane, as plain ints."""
@@ -1235,7 +1114,6 @@ class _LockstepDriver:
             kernel.pi[lane, net.index] = value
             kernel.source_transitions[lane] += 1
             kernel.toggles[lane, net.index] += 1
-            kernel.toggles_dirty = True
             traces = kernel.trace_lists[lane]
             if traces is not None:
                 traces[net.index].append(Transition(
@@ -1288,100 +1166,24 @@ class _LockstepDriver:
 # the registered backend
 # ----------------------------------------------------------------------
 
-class _LaneZeroQueue:
-    """EngineBase-facing queue facade over lane 0 of the kernel.
-
-    The kernel owns the real per-lane heaps; this adapter lets the
-    shared :meth:`EngineBase.run`/`step` loops drive them.  Popped
-    "events" are pool event ids (plain ints).
-    """
-
-    def __init__(self, simulator: VectorSimulator):
-        self._simulator = simulator
-
-    def _kernel(self) -> Optional[_VectorKernel]:
-        return self._simulator._kernel
-
-    def __len__(self) -> int:
-        kernel = self._kernel()
-        if kernel is None:
-            return 0
-        state = kernel.pool.state
-        return sum(
-            1 for entry in kernel.heaps[0] if state[entry[2]] == _PENDING
-        )
-
-    def __bool__(self) -> bool:
-        kernel = self._kernel()
-        return kernel is not None and kernel.peek_time(0) is not None
-
-    def clear(self) -> None:
-        kernel = self._kernel()
-        if kernel is not None:
-            kernel.clear_lane(0)
-
-    def peek_time(self) -> Optional[float]:
-        kernel = self._kernel()
-        if kernel is None:
-            return None
-        return kernel.peek_time(0)
-
-    def pop(self) -> Optional[int]:
-        kernel = self._kernel()
-        if kernel is None:
-            return None
-        eid = kernel.pop_runnable(0, _inf)
-        return None if eid < 0 else eid
-
-
 @register_engine("vector")
-class VectorSimulator(EngineBase):
-    """The numpy N-lane kernel behind the standard engine protocol.
+class VectorSimulator(CompiledSimulator):
+    """The numpy N-lane lockstep kernel, registered as a backend.
 
-    As a registered backend this class simulates one stimulus at a time
-    (a one-lane kernel), so it slots into everything that consumes
-    ``ENGINE_KINDS`` — ``simulate()``, service workers, the network
-    server, the CLI.  Its reason to exist is the **lockstep batch**
-    class method used by :func:`repro.core.batch.simulate_batch`, which
-    advances all N vectors of a batch through one kernel; per-lane
-    results are bit-identical to the reference backend either way.
-
-    Args:
-        netlist: the circuit; lowered on construction unless a
-            pre-lowered ``compiled`` is supplied.
-        config: engine knobs (the default is HALOTIS-DDM).
-        queue_kind: per-lane event-queue implementation (same names as
-            the other backends: ``"heap"`` or ``"sorted-list"``).
-        compiled: optional pre-built :class:`CompiledNetlist` (must wrap
-            ``netlist``); lets many simulators share one lowering.
+    A single run on this backend executes on the inherited compiled
+    kernel, so it slots into everything that consumes ``ENGINE_KINDS``
+    — ``simulate()``, service workers, the network server, the CLI —
+    with results bit-identical to ``"compiled"``.  What the class adds
+    is the **lockstep batch** class method used by
+    :func:`repro.core.batch.simulate_batch`, which advances all N
+    vectors of a batch through one :class:`_VectorKernel`; per-lane
+    results are bit-identical to the reference backend.
     """
 
-    lowers_netlist = True
     lockstep_batches = True
     cli_blurb = (
         "numpy N-lane kernel, steps whole batches in lockstep; needs numpy"
     )
-
-    def __init__(
-        self,
-        netlist: Netlist,
-        config: Optional[SimulationConfig] = None,
-        queue_kind: str = "heap",
-        compiled: Optional[CompiledNetlist] = None,
-    ):
-        self.ensure_available()
-        if compiled is not None and compiled.netlist is not netlist:
-            raise SimulationError(
-                "compiled netlist does not wrap the given netlist"
-            )
-        self._cn = compiled if compiled is not None else netlist.compile()
-        self._kernel: Optional[_VectorKernel] = None
-        super().__init__(netlist, config=config, queue_kind=queue_kind)
-        policy = self.config.inertial_policy
-        if policy not in (InertialPolicy.EVENT_ORDER,
-                          InertialPolicy.PEAK_VOLTAGE):
-            raise ValueError("unknown inertial policy %r" % (policy,))
-        self._lane0 = _np.array([0], _np.int64)
 
     @classmethod
     def ensure_available(cls) -> None:
@@ -1395,7 +1197,6 @@ class VectorSimulator(EngineBase):
         stimuli: Sequence,
         config: Optional[SimulationConfig] = None,
         settle: float = 0.0,
-        queue_kind: str = "heap",
         seed: Optional[Mapping[str, int]] = None,
     ) -> List[SimulationResult]:
         """All N stimuli through one kernel, one wave at a time.
@@ -1411,124 +1212,6 @@ class VectorSimulator(EngineBase):
         if config is None:
             config = SimulationConfig()
         config.validate()
-        kernel = _VectorKernel(
-            netlist.compile(), config, len(stimuli), queue_kind=queue_kind
-        )
+        kernel = _VectorKernel(netlist.compile(), config, len(stimuli))
         driver = _LockstepDriver(netlist, kernel, stimuli, settle, seed)
         return driver.run()
-
-    @property
-    def compiled_netlist(self) -> CompiledNetlist:
-        return self._cn
-
-    def rebind_lowering(self) -> None:
-        """Drop the cached kernel: it snapshots the ``as_numpy()``
-        export (arc stack copy + list mirrors) at construction, so a
-        patched lowering needs a fresh kernel on next ``initialize()``."""
-        self._kernel = None
-
-    def _make_queue(self, queue_kind: str):
-        # Validated here (not only at kernel construction) so a bad
-        # kind fails at make_engine() time like the other backends.
-        _check_queue_kind(queue_kind)
-        return _LaneZeroQueue(self)
-
-    # ------------------------------------------------------------------
-    # lifecycle hooks
-    # ------------------------------------------------------------------
-
-    def _build_state(
-        self,
-        input_values: Dict[str, int],
-        seed: Optional[Dict[str, int]],
-    ) -> Dict[str, int]:
-        values = evaluate_netlist(self.netlist, input_values, seed=seed)
-        if self._kernel is None:
-            self._kernel = _VectorKernel(
-                self._cn, self.config, 1, queue_kind=self.queue_kind
-            )
-        # .get: an undriven, fanout-free net has no DC value; the
-        # placeholder row entry is never read (not a PI, no fanouts).
-        self._kernel.reset(_np.array(
-            [[values.get(name, 0) for name in self._cn.net_names]],
-            _np.int64,
-        ))
-        return values
-
-    def _after_initialize(self) -> None:
-        kernel = self._kernel
-        kernel.now[0] = self.now
-        kernel.filtered_logs[0] = self.filtered_log
-        if self.config.record_traces:
-            kernel.trace_lists[0] = [
-                self.traces[name] for name in self._cn.net_names
-            ]
-        else:
-            kernel.trace_lists[0] = None
-
-    # ------------------------------------------------------------------
-    # stimulus hooks
-    # ------------------------------------------------------------------
-
-    def _pi_value(self, net: Net) -> int:
-        return int(self._kernel.pi[0, net.index])
-
-    def _commit_pi_value(self, net: Net, value: int) -> None:
-        self._kernel.pi[0, net.index] = value
-
-    def _count_toggle(self, net: Net) -> None:
-        kernel = self._kernel
-        kernel.toggles[0, net.index] += 1
-        kernel.toggles_dirty = True
-
-    def _broadcast_transition(self, transition: Transition, net: Net) -> None:
-        kernel = self._kernel
-        kernel.now[0] = self.now
-        kernel.broadcast_scalar(
-            0, net.index, transition.t50, transition.duration,
-            transition.rising, self.now,
-        )
-
-    # ------------------------------------------------------------------
-    # the event loop
-    # ------------------------------------------------------------------
-
-    def _execute(self, eid: int) -> None:
-        kernel = self._kernel
-        kernel.execute_wave(self._lane0, _np.array([eid], _np.int64))
-        self.now = float(kernel.now[0])
-
-    def _wave_counters(self):
-        kernel = self._kernel
-        if kernel is None:
-            return None
-        return (kernel.waves_executed, kernel.lanes_executed)
-
-    def _after_run(self) -> None:
-        # Mirror the kernel's per-lane counters into the result-facing
-        # SimulationStatistics (source_transitions is maintained by
-        # EngineBase.set_input and stays untouched).
-        kernel = self._kernel
-        stats = self.stats
-        stats.events_executed = int(kernel.events_executed[0])
-        stats.events_scheduled = int(kernel.events_scheduled[0])
-        stats.events_filtered = int(kernel.events_filtered[0])
-        stats.late_events = int(kernel.late_events[0])
-        stats.transitions_emitted = int(kernel.transitions_emitted[0])
-        stats.transitions_degraded = int(kernel.transitions_degraded[0])
-        stats.transitions_fully_degraded = int(
-            kernel.transitions_fully_degraded[0]
-        )
-        if kernel.toggles_dirty:
-            kernel.toggles_dirty = False
-            stats.net_toggles = kernel.lane_toggles(0)
-
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
-
-    def value(self, net_name: str) -> int:
-        """Committed logic value of a net at the current time."""
-        self._require_ready()
-        net = self.netlist.net(net_name)
-        return self._kernel.lane_value(0, net.index, net_name)

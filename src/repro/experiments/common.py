@@ -92,7 +92,6 @@ def run_halotis(
     which: int,
     mode: DelayMode,
     record_traces: bool = True,
-    queue_kind: str = "heap",
     engine_kind: str = "reference",
 ) -> SimulationResult:
     """Simulate a paper sequence with HALOTIS-DDM or HALOTIS-CDM.
@@ -109,7 +108,6 @@ def run_halotis(
         multiplier_netlist(),
         paper_stimulus(which),
         config=config,
-        queue_kind=queue_kind,
         engine_kind=engine_kind,
     )
 
@@ -124,7 +122,6 @@ def paper_stimulus_batch(period: float = PERIOD,
 def run_halotis_batch(
     mode: DelayMode,
     record_traces: bool = True,
-    queue_kind: str = "heap",
     engine_kind: str = "reference",
     jobs: int = 1,
 ) -> BatchResult:
@@ -144,7 +141,6 @@ def run_halotis_batch(
         multiplier_netlist(),
         paper_stimulus_batch(),
         config=config,
-        queue_kind=queue_kind,
         engine_kind=engine_kind,
         jobs=jobs,
     )
@@ -153,7 +149,6 @@ def run_halotis_batch(
 def run_halotis_vector(
     mode: DelayMode,
     record_traces: bool = True,
-    queue_kind: str = "heap",
 ) -> BatchResult:
     """Both paper sequences as one N=2 lockstep wave batch.
 
@@ -173,7 +168,6 @@ def run_halotis_vector(
         multiplier_netlist(),
         paper_stimulus_batch(),
         config=config,
-        queue_kind=queue_kind,
         engine_kind="vector",
     )
 
@@ -181,7 +175,6 @@ def run_halotis_vector(
 def run_halotis_bitparallel(
     mode: DelayMode,
     record_traces: bool = True,
-    queue_kind: str = "heap",
 ) -> BatchResult:
     """Both paper sequences as one 2-lane *word* batch.
 
@@ -204,7 +197,6 @@ def run_halotis_bitparallel(
         multiplier_netlist(),
         paper_stimulus_batch(),
         config=config,
-        queue_kind=queue_kind,
         engine_kind="bitparallel",
     )
 
@@ -212,7 +204,6 @@ def run_halotis_bitparallel(
 def run_halotis_service(
     mode: DelayMode,
     record_traces: bool = True,
-    queue_kind: str = "heap",
     engine_kind: str = "compiled",
     workers: int = 2,
     shm_transport: Optional[bool] = None,
@@ -236,7 +227,6 @@ def run_halotis_service(
         multiplier_netlist(),
         config=config,
         workers=workers,
-        queue_kind=queue_kind,
         engine_kind=engine_kind,
         shm_transport=shm_transport,
     ) as service:
@@ -244,7 +234,6 @@ def run_halotis_service(
             multiplier_netlist(),
             paper_stimulus_batch(),
             config=config,
-            queue_kind=queue_kind,
             engine_kind=engine_kind,
             service=service,
         )

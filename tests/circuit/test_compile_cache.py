@@ -98,3 +98,18 @@ def test_vt_override_path_is_covered_by_add_gate_bump():
     fresh = builder.netlist.compile()
     assert fresh is not stale
     assert fresh.vt_fraction[0] == pytest.approx(0.31)
+
+
+def test_topological_order_is_cached_until_structure_changes():
+    """``topological_gates()`` shares the compile cache's invalidation
+    and hands each caller its own list, so a caller that edits the
+    returned list cannot corrupt the next caller's order."""
+    builder, y = build_chain()
+    netlist = builder.netlist
+    first = netlist.topological_gates()
+    first.clear()
+    second = netlist.topological_gates()
+    assert [gate.name for gate in second] == ["g0"]
+    assert second is not netlist.topological_gates()
+    builder.inv(y, name="g1")
+    assert [gate.name for gate in netlist.topological_gates()] == ["g0", "g1"]

@@ -5,7 +5,8 @@ both engines must produce bit-identical event counts, statistics, edge
 lists and raw transition streams.  This property is exercised on 50+
 random combinational DAGs (deterministic per seed) under both delay
 modes, plus the paper's multiplier workload and the PEAK_VOLTAGE
-ablation policy.
+ablation policy.  Single runs on the ``"vector"`` and ``"bitparallel"``
+backends execute on the compiled kernel; they are pinned here too.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import random
 import pytest
 
 from repro.circuit.builder import CircuitBuilder
-from repro.config import InertialPolicy, cdm_config, ddm_config
-from repro.core.engine import simulate
+from repro.config import DelayMode, InertialPolicy, cdm_config, ddm_config
+from repro.core.compiled import CompiledSimulator
+from repro.core.engine import HalotisSimulator, make_engine, run_stimulus, simulate
+from repro.core.event_queue import SortedListQueue
 from repro.stimuli.vectors import VectorSequence
 
 _CELL_CHOICES = [
@@ -75,9 +78,13 @@ _STATS_FIELDS = (
 )
 
 
-def assert_parity(netlist, stimulus, config):
-    reference = simulate(netlist, stimulus, config=config, engine_kind="reference")
-    compiled = simulate(netlist, stimulus, config=config, engine_kind="compiled")
+def assert_parity(netlist, stimulus, config, engine_kind="compiled",
+                  reference_config=None):
+    reference = simulate(
+        netlist, stimulus, config=reference_config or config,
+        engine_kind="reference",
+    )
+    compiled = simulate(netlist, stimulus, config=config, engine_kind=engine_kind)
 
     for field in _STATS_FIELDS:
         assert getattr(reference.stats, field) == getattr(compiled.stats, field), (
@@ -136,18 +143,48 @@ def test_peak_voltage_policy_parity():
 
 
 def test_queue_kind_parity_cross_backend(mult4):
-    """sorted-list compiled == heap reference on the paper workload."""
+    """A reference engine on the sorted-list oracle queue == the compiled
+    engine's list-entry heap on the paper workload."""
     from repro.stimuli.vectors import PAPER_SEQUENCE_2, multiplication_sequence
 
     stimulus = multiplication_sequence(PAPER_SEQUENCE_2)
-    heap_ref = simulate(
-        mult4, stimulus, config=ddm_config(), queue_kind="heap",
-        engine_kind="reference",
+    simulator = HalotisSimulator(mult4, config=ddm_config())
+    simulator.queue = SortedListQueue()
+    sorted_ref = run_stimulus(simulator, stimulus)
+    heap_com = simulate(
+        mult4, stimulus, config=ddm_config(), engine_kind="compiled",
     )
-    sorted_com = simulate(
-        mult4, stimulus, config=ddm_config(), queue_kind="sorted-list",
-        engine_kind="compiled",
-    )
-    assert heap_ref.stats.events_executed == sorted_com.stats.events_executed
+    assert sorted_ref.stats.events_executed == heap_com.stats.events_executed
     for name in mult4.nets:
-        assert heap_ref.traces[name].edges() == sorted_com.traces[name].edges()
+        assert sorted_ref.traces[name].edges() == heap_com.traces[name].edges()
+
+
+@pytest.mark.parametrize("engine_kind", ["compiled", "vector", "bitparallel"])
+def test_single_run_backends_are_compiled_simulators(chain3, engine_kind):
+    pytest.importorskip("numpy")
+    engine = make_engine(chain3, config=ddm_config(), engine_kind=engine_kind)
+    assert isinstance(engine, CompiledSimulator)
+    assert engine.kind == engine_kind
+
+
+@pytest.mark.parametrize("case", CASES[:25], ids=lambda c: "seed%d" % c[0])
+@pytest.mark.parametrize("mode", ["ddm", "cdm"])
+def test_vector_and_bitparallel_single_runs(case, mode):
+    """simulate(engine_kind="vector") ≡ reference, and
+    simulate(engine_kind="bitparallel") ≡ reference with CDM forced,
+    filtered-event logs included."""
+    pytest.importorskip("numpy")
+    seed, num_inputs, num_gates, vectors = case
+    netlist = random_netlist(seed, num_inputs, num_gates)
+    input_names = [net.name for net in netlist.primary_inputs]
+    stimulus = random_stimulus(seed, input_names, vectors)
+    config = (
+        ddm_config(record_filtered=True)
+        if mode == "ddm"
+        else cdm_config(record_filtered=True)
+    )
+    assert_parity(netlist, stimulus, config, engine_kind="vector")
+    assert_parity(
+        netlist, stimulus, config, engine_kind="bitparallel",
+        reference_config=config.with_mode(DelayMode.CDM),
+    )

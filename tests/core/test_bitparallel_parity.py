@@ -4,13 +4,15 @@ The declared accuracy tier (docs/architecture.md) is pinned from both
 sides:
 
 * **N = 1 is fully bit-identical to CDM.**  A single-lane word kernel
-  performs exactly the compiled CDM engine's float operations in the
-  same order, so ``simulate(engine_kind="bitparallel")`` under *any*
+  (zero batch hold) performs exactly the compiled CDM engine's float
+  operations in the same order, so a one-lane
+  ``simulate_batch([stimulus], engine_kind="bitparallel")`` under *any*
   config must equal the reference engine under the same config with
-  ``delay_mode`` forced to CDM — statistics, traces, transition streams
-  and filtered-event logs included.  Exercised on the randomized
-  circuit zoo under both source delay modes, both inertial policies and
-  both queue kinds.
+  ``delay_mode`` forced to CDM — statistics, traces and transition
+  streams included.  Exercised on the randomized circuit zoo under both
+  source delay modes and both inertial policies.  A single
+  ``simulate(engine_kind="bitparallel")`` run executes on the compiled
+  kernel with CDM timing (``test_backend_parity`` pins that one).
 * **Every lane of a lockstep batch is logic-exact.**  Per-lane final
   values are bit-identical to a standalone reference run of the same
   stimulus; event *times* follow the word contract (one shared clock,
@@ -26,8 +28,9 @@ numpy = pytest.importorskip("numpy")
 
 from repro.config import DelayMode, InertialPolicy, cdm_config, ddm_config
 from repro.core.batch import simulate_batch
-from repro.core.engine import simulate
-from repro.errors import SimulationError, SimulationLimitError
+from repro.core.engine import HalotisSimulator, run_stimulus, simulate
+from repro.core.event_queue import SortedListQueue
+from repro.errors import SimulationLimitError
 from repro.experiments import common
 from repro.stimuli.patterns import random_vector_batch
 from repro.stimuli.vectors import (
@@ -45,22 +48,21 @@ from test_vector_parity import CASES, assert_results_bit_identical
 
 
 def assert_cdm_bit_identity(netlist, stimulus, config):
-    """bitparallel ≡ reference-with-CDM under the same remaining knobs."""
+    """A one-lane bitparallel batch ≡ reference-with-CDM under the same
+    remaining knobs."""
     reference = simulate(
         netlist, stimulus, config=config.with_mode(DelayMode.CDM),
         engine_kind="reference",
     )
-    word = simulate(netlist, stimulus, config=config,
-                    engine_kind="bitparallel")
-    assert_results_bit_identical(reference, word, netlist)
-    assert (
-        reference.simulator.filtered_log == word.simulator.filtered_log
-    )
-    return reference, word
+    batch = simulate_batch(netlist, [stimulus], config=config,
+                           engine_kind="bitparallel")
+    assert batch.engine_kind == "bitparallel"
+    assert_results_bit_identical(reference, batch[0], netlist)
+    return reference, batch[0]
 
 
 # ----------------------------------------------------------------------
-# single-stimulus full bit-identity (the registered EngineBase backend)
+# one-lane full bit-identity (the zero batch hold)
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "seed%d" % c[0])
@@ -76,20 +78,14 @@ def test_random_circuit_cdm_identity(case, mode):
     netlist = random_netlist(seed, num_inputs, num_gates)
     input_names = [net.name for net in netlist.primary_inputs]
     stimulus = random_stimulus(seed, input_names, vectors)
-    config = (
-        ddm_config(record_filtered=True)
-        if mode == "ddm"
-        else cdm_config(record_filtered=True)
-    )
+    config = ddm_config() if mode == "ddm" else cdm_config()
     assert_cdm_bit_identity(netlist, stimulus, config)
 
 
 @pytest.mark.parametrize("which", [1, 2])
 def test_multiplier_paper_sequence_cdm_identity(mult4, which):
     stimulus = common.paper_stimulus(which)
-    reference, word = assert_cdm_bit_identity(
-        mult4, stimulus, cdm_config(record_filtered=True)
-    )
+    reference, word = assert_cdm_bit_identity(mult4, stimulus, cdm_config())
     # The Table 1 CDM activity row comes out of the word kernel too —
     # same event count as the reference CDM engine, down to the toggle.
     assert word.stats.events_executed == reference.stats.events_executed
@@ -101,23 +97,20 @@ def test_peak_voltage_policy_cdm_identity():
     netlist = random_netlist(7, 3, 18)
     input_names = [net.name for net in netlist.primary_inputs]
     stimulus = random_stimulus(7, input_names, 3)
-    config = cdm_config(
-        inertial_policy=InertialPolicy.PEAK_VOLTAGE, record_filtered=True
-    )
+    config = cdm_config(inertial_policy=InertialPolicy.PEAK_VOLTAGE)
     assert_cdm_bit_identity(netlist, stimulus, config)
 
 
 def test_sorted_list_queue_cdm_identity(mult4):
+    """A reference CDM engine on the sorted-list oracle queue == a
+    one-lane bitparallel batch."""
     stimulus = multiplication_sequence(PAPER_SEQUENCE_2)
-    heap_ref = simulate(
-        mult4, stimulus, config=cdm_config(), queue_kind="heap",
-        engine_kind="reference",
-    )
-    sorted_word = simulate(
-        mult4, stimulus, config=cdm_config(), queue_kind="sorted-list",
-        engine_kind="bitparallel",
-    )
-    assert_results_bit_identical(heap_ref, sorted_word, mult4)
+    simulator = HalotisSimulator(mult4, config=cdm_config())
+    simulator.queue = SortedListQueue()
+    sorted_ref = run_stimulus(simulator, stimulus)
+    word = simulate_batch(mult4, [stimulus], config=cdm_config(),
+                          engine_kind="bitparallel")[0]
+    assert_results_bit_identical(sorted_ref, word, mult4)
 
 
 # ----------------------------------------------------------------------
@@ -218,17 +211,13 @@ def test_lockstep_activity_matches_packed_popcount(mult4):
     equals packed_activity_summary() (word popcounts, no unpacking)."""
     from repro.analysis.activity import packed_activity_summary
     from repro.core.bitparallel import _WordKernel, _WordLockstepDriver
-    from repro.core.bitparallel import _make_word_queue
 
     input_names = [net.name for net in mult4.primary_inputs]
     stimuli = random_vector_batch(
         input_names, batch=32, count=3, period=2.5, base_seed=3
     )
     config = cdm_config(record_traces=False)
-    kernel = _WordKernel(
-        mult4.compile(), config, len(stimuli),
-        queue=_make_word_queue("heap"),
-    )
+    kernel = _WordKernel(mult4.compile(), config, len(stimuli))
     driver = _WordLockstepDriver(mult4, kernel, stimuli, 0.0, None)
     results = driver.run()
 
@@ -275,21 +264,10 @@ def test_lockstep_batch_honors_max_events(mult4):
                        engine_kind="bitparallel")
 
 
-def test_bitparallel_rejects_unknown_queue_kind(mult4):
-    with pytest.raises(SimulationError) as excinfo:
-        simulate_batch(
-            mult4, [multiplication_sequence(PAPER_SEQUENCE_1)],
-            config=cdm_config(), engine_kind="bitparallel",
-            queue_kind="fibonacci",
-        )
-    assert "heap" in str(excinfo.value)
-    assert "sorted-list" in str(excinfo.value)
-
-
 def test_bitparallel_engine_reuse_across_stimuli(mult4):
     """One BitParallelSimulator re-initialised per stimulus (the service
-    worker pattern) resets all word state."""
-    from repro.core.engine import make_engine, run_stimulus
+    worker pattern) resets all engine state."""
+    from repro.core.engine import make_engine
 
     engine = make_engine(mult4, config=cdm_config(),
                          engine_kind="bitparallel")
@@ -303,12 +281,10 @@ def test_bitparallel_engine_reuse_across_stimuli(mult4):
 
 def test_word_op_counts_exported(mult4):
     """Every truth-table gate lowers to a (small) word-op program."""
-    from repro.core.engine import make_engine
+    from repro.core.bitparallel import _WordKernel
 
-    engine = make_engine(mult4, config=cdm_config(),
-                         engine_kind="bitparallel")
-    engine.initialize({net.name: 0 for net in mult4.primary_inputs})
-    counts = engine.kernel.word_op_counts()
+    kernel = _WordKernel(mult4.compile(), cdm_config(), 1)
+    counts = kernel.word_op_counts()
     assert set(counts) == set(mult4.gates)
     # INV is one op (x ^ F); NAND2 is two (x & y, then ^ F).
     assert all(0 <= ops <= 8 for ops in counts.values())

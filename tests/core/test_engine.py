@@ -191,13 +191,17 @@ def test_determinism(mult4):
 
 
 def test_queue_kinds_agree(mult4):
+    """The binary heap and the sorted-list oracle queue drive the
+    reference kernel to the same result."""
+    from repro.core.engine import HalotisSimulator, run_stimulus
+    from repro.core.event_queue import SortedListQueue
     from repro.stimuli.vectors import multiplication_sequence, PAPER_SEQUENCE_1
 
     stimulus = multiplication_sequence(PAPER_SEQUENCE_1)
-    heap = simulate(mult4, stimulus, config=ddm_config(), queue_kind="heap")
-    listq = simulate(
-        mult4, stimulus, config=ddm_config(), queue_kind="sorted-list"
-    )
+    heap = simulate(mult4, stimulus, config=ddm_config())
+    simulator = HalotisSimulator(mult4, config=ddm_config())
+    simulator.queue = SortedListQueue()
+    listq = run_stimulus(simulator, stimulus)
     assert heap.stats.events_executed == listq.stats.events_executed
     for name in ("s0", "s5", "s7"):
         assert heap.traces[name].edges() == listq.traces[name].edges()

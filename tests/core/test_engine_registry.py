@@ -1,9 +1,11 @@
 """The engine backend registry and per-backend config knobs.
 
 Covers the satellite requirements: unknown ``engine_kind`` raises a
-:class:`SimulationError` naming the valid kinds, and both backends honor
-``queue_kind``, ``max_events`` and ``record_filtered``.
+:class:`SimulationError` naming the valid kinds, and every backend
+honors ``max_events``, ``record_filtered`` and ``record_traces``.
 """
+
+import dataclasses
 
 import pytest
 
@@ -74,30 +76,19 @@ def test_config_validates_engine_kind_type():
 
 
 @pytest.mark.parametrize("engine_kind", ALL_KINDS)
-def test_backends_reject_unknown_queue_kind(chain3, engine_kind):
-    with pytest.raises(SimulationError) as excinfo:
-        make_engine(chain3, queue_kind="fibonacci", engine_kind=engine_kind)
-    assert "heap" in str(excinfo.value)
-    assert "sorted-list" in str(excinfo.value)
-
-
-@pytest.mark.parametrize("engine_kind", ALL_KINDS)
-def test_backends_honor_queue_kind(chain3, engine_kind):
-    stimulus = _ring_stimulus(chain3)
-    heap = simulate(
-        chain3, stimulus, config=ddm_config(), queue_kind="heap",
-        engine_kind=engine_kind,
-    )
-    sorted_list = simulate(
-        chain3, stimulus, config=ddm_config(), queue_kind="sorted-list",
-        engine_kind=engine_kind,
-    )
-    assert heap.stats.events_executed == sorted_list.stats.events_executed
-    assert heap.stats.events_filtered == sorted_list.stats.events_filtered
-    for name in chain3.nets:
-        assert heap.traces[name].edges() == sorted_list.traces[name].edges()
-    assert heap.simulator.queue_kind == "heap"
-    assert sorted_list.simulator.queue_kind == "sorted-list"
+@pytest.mark.parametrize(
+    "field,value", [("delay_mode", "ddm"), ("inertial_policy", "event-order")]
+)
+def test_backends_reject_non_enum_mode_and_policy(
+    chain3, engine_kind, field, value
+):
+    """A string where an enum member belongs must fail validation on
+    every backend — not silently run CDM, or run until the first
+    inertial decision."""
+    config = dataclasses.replace(ddm_config(), **{field: value})
+    with pytest.raises(ValueError, match=field):
+        simulate(chain3, _ring_stimulus(chain3), config=config,
+                 engine_kind=engine_kind)
 
 
 @pytest.mark.parametrize("engine_kind", ALL_KINDS)

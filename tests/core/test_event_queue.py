@@ -5,10 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.event_queue import (
+    CANCELLED,
+    ENTRY_STATE,
+    PENDING,
     BinaryHeapQueue,
-    QUEUE_KINDS,
+    EntryHeapQueue,
     SortedListQueue,
-    make_queue,
 )
 from repro.core.events import Event
 from repro.errors import SimulationError
@@ -18,14 +20,11 @@ def _event(time, seq):
     return Event(time=time, seq=seq, gate_input=None, transition=None, value=1)
 
 
-@pytest.fixture(params=sorted(QUEUE_KINDS))
+@pytest.fixture(
+    params=[BinaryHeapQueue, SortedListQueue], ids=["heap", "sorted-list"]
+)
 def queue(request):
-    return make_queue(request.param)
-
-
-def test_make_queue_rejects_unknown():
-    with pytest.raises(SimulationError):
-        make_queue("fibonacci")
+    return request.param()
 
 
 def test_fifo_for_equal_times(queue):
@@ -168,3 +167,66 @@ def test_implementations_agree(operations):
         )
     assert results_heap == results_oracle
     assert len(heap) == len(oracle) == 0
+
+
+def _entry(time, seq):
+    """A compiled-kernel style list entry: time, seq, payload, state."""
+    return [time, seq, None, None, None, None, None, PENDING]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=100.0),
+            st.sampled_from(["push", "cancel", "pop"]),
+            st.integers(min_value=0),
+        ),
+        max_size=60,
+    )
+)
+def test_entry_heap_matches_sorted_live_entries(operations):
+    """The list-entry heap shared by the compiled and word kernels pops
+    exactly ``sorted()`` of its live (pushed, not cancelled, not yet
+    popped) entries, under any interleaving of push/cancel/pop."""
+    queue = EntryHeapQueue()
+    live = []
+    seq = 0
+    for time, action, pick in operations:
+        if action == "push":
+            seq += 1
+            entry = _entry(time, seq)
+            queue.push(entry)
+            live.append(entry)
+        elif action == "cancel" and live:
+            target = live.pop(pick % len(live))
+            queue.cancel(target)
+            assert target[ENTRY_STATE] == CANCELLED
+            # cancelling twice is a no-op
+            queue.cancel(target)
+        elif action == "pop":
+            expected = min(live) if live else None
+            assert queue.peek_time() == (
+                None if expected is None else expected[0]
+            )
+            popped = queue.pop()
+            assert popped is expected
+            if popped is not None:
+                live.remove(popped)
+        assert len(queue) == len(live)
+        assert bool(queue) == bool(live)
+    drained = []
+    while queue:
+        drained.append(queue.pop())
+    assert drained == sorted(live)
+    assert queue.pop() is None
+    assert queue.peek_time() is None
+
+
+def test_entry_heap_clear():
+    queue = EntryHeapQueue()
+    for seq in range(5):
+        queue.push(_entry(float(seq), seq))
+    queue.clear()
+    assert not queue
+    assert len(queue) == 0
+    assert queue.peek_time() is None

@@ -290,10 +290,6 @@ def test_simulate_batch_service_knob_mismatches(mult4, c17):
                 mult4, stimuli, engine_kind="reference", service=service
             )
         with pytest.raises(ServiceError):
-            simulate_batch(
-                mult4, stimuli, queue_kind="sorted-list", service=service
-            )
-        with pytest.raises(ServiceError):
             simulate_batch(mult4, stimuli, config=ddm_config(), service=service)
 
 

@@ -1,18 +1,18 @@
 """Vector (numpy N-lane) backend parity: vector ≡ reference ≡ compiled.
 
-The vector engine is only allowed to be *faster at scale*, never
-different: for every stimulus, every lane of a lockstep batch — and the
-single-lane engine behind plain ``simulate()`` — must produce
-bit-identical event counts, statistics, edge lists, raw transition
-streams and filtered-event logs.  Exercised on the randomized circuit
-zoo of ``test_backend_parity`` under both delay modes, both inertial
-policies, both queue kinds, and through the batch front end (in-process
-lockstep and process-sharded).
+The vector kernel is only allowed to be *faster at scale*, never
+different: for every stimulus, every lane of a lockstep batch must
+produce bit-identical event counts, statistics, edge lists and raw
+transition streams.  Exercised on the randomized circuit zoo of
+``test_backend_parity`` under both delay modes and both inertial
+policies, and through the batch front end (in-process lockstep and
+process-sharded).
 
 The two kernel paths — vectorised waves and the thin-wave scalar
 fallback — are both covered: lockstep batches over eight-plus lanes run
-wide waves, while single-stimulus runs and drain tails take the scalar
-path.
+wide waves, while one-lane batches and drain tails take the scalar
+path.  A single ``simulate(engine_kind="vector")`` run executes on the
+compiled kernel (``test_backend_parity`` pins that one).
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ numpy = pytest.importorskip("numpy")
 
 from repro.config import InertialPolicy, cdm_config, ddm_config
 from repro.core.batch import simulate_batch
-from repro.core.engine import simulate
-from repro.errors import SimulationError, SimulationLimitError
+from repro.core.engine import HalotisSimulator, run_stimulus, simulate
+from repro.core.event_queue import SortedListQueue
+from repro.errors import SimulationLimitError
 from repro.experiments import common
 from repro.stimuli.patterns import random_vector_batch
 from repro.stimuli.vectors import (
@@ -40,8 +41,7 @@ from test_backend_parity import (
 )
 
 #: (seed, num_inputs, num_gates, vectors) — a 25-circuit slice of the
-#: backend-parity zoo (the vector backend re-runs every circuit twice:
-#: once per lane of a batch, once standalone).
+#: backend-parity zoo.
 CASES = [
     (seed, 1 + seed % 6, 3 + (seed * 7) % 22, 2 + seed % 3)
     for seed in range(25)
@@ -71,19 +71,18 @@ def assert_results_bit_identical(reference, vector, netlist, context=""):
 
 
 def assert_vector_parity(netlist, stimulus, config):
-    """simulate(engine_kind="vector") ≡ reference, logs included."""
+    """A one-lane vector lockstep batch ≡ the reference engine."""
     reference = simulate(netlist, stimulus, config=config,
                          engine_kind="reference")
-    vector = simulate(netlist, stimulus, config=config, engine_kind="vector")
-    assert_results_bit_identical(reference, vector, netlist)
-    assert (
-        reference.simulator.filtered_log == vector.simulator.filtered_log
-    )
-    return reference, vector
+    batch = simulate_batch(netlist, [stimulus], config=config,
+                           engine_kind="vector")
+    assert batch.engine_kind == "vector"
+    assert_results_bit_identical(reference, batch[0], netlist)
+    return reference, batch[0]
 
 
 # ----------------------------------------------------------------------
-# single-stimulus parity (the registered EngineBase backend)
+# one-lane lockstep parity (the scalar twin path of the kernel)
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "seed%d" % c[0])
@@ -93,11 +92,7 @@ def test_random_circuit_parity(case, mode):
     netlist = random_netlist(seed, num_inputs, num_gates)
     input_names = [net.name for net in netlist.primary_inputs]
     stimulus = random_stimulus(seed, input_names, vectors)
-    config = (
-        ddm_config(record_filtered=True)
-        if mode == "ddm"
-        else cdm_config(record_filtered=True)
-    )
+    config = ddm_config() if mode == "ddm" else cdm_config()
     assert_vector_parity(netlist, stimulus, config)
 
 
@@ -119,17 +114,15 @@ def test_peak_voltage_policy_parity():
 
 
 def test_sorted_list_queue_parity(mult4):
-    """sorted-list vector == heap reference on the paper workload."""
+    """A reference engine on the sorted-list oracle queue == a one-lane
+    vector batch on the paper workload."""
     stimulus = multiplication_sequence(PAPER_SEQUENCE_2)
-    heap_ref = simulate(
-        mult4, stimulus, config=ddm_config(), queue_kind="heap",
-        engine_kind="reference",
-    )
-    sorted_vec = simulate(
-        mult4, stimulus, config=ddm_config(), queue_kind="sorted-list",
-        engine_kind="vector",
-    )
-    assert_results_bit_identical(heap_ref, sorted_vec, mult4)
+    simulator = HalotisSimulator(mult4, config=ddm_config())
+    simulator.queue = SortedListQueue()
+    sorted_ref = run_stimulus(simulator, stimulus)
+    vector = simulate_batch(mult4, [stimulus], config=ddm_config(),
+                            engine_kind="vector")[0]
+    assert_results_bit_identical(sorted_ref, vector, mult4)
 
 
 # ----------------------------------------------------------------------
@@ -147,11 +140,7 @@ def test_random_circuit_lockstep_parity(case, mode):
         random_stimulus(seed * 31 + k, input_names, vectors)
         for k in range(10)
     ]
-    config = (
-        ddm_config(record_filtered=True)
-        if mode == "ddm"
-        else cdm_config(record_filtered=True)
-    )
+    config = ddm_config() if mode == "ddm" else cdm_config()
     batch = simulate_batch(netlist, stimuli, config=config,
                            engine_kind="vector")
     assert batch.engine_kind == "vector"
@@ -256,21 +245,10 @@ def test_lockstep_batch_honors_max_events(mult4):
         simulate_batch(mult4, stimuli, config=config, engine_kind="vector")
 
 
-def test_vector_rejects_unknown_queue_kind(mult4):
-    with pytest.raises(SimulationError) as excinfo:
-        simulate_batch(
-            mult4, [multiplication_sequence(PAPER_SEQUENCE_1)],
-            config=ddm_config(), engine_kind="vector",
-            queue_kind="fibonacci",
-        )
-    assert "heap" in str(excinfo.value)
-    assert "sorted-list" in str(excinfo.value)
-
-
 def test_vector_engine_reuse_across_stimuli(mult4):
     """One VectorSimulator re-initialised per stimulus (the service
-    worker pattern) resets all lane state."""
-    from repro.core.engine import make_engine, run_stimulus
+    worker pattern) resets all engine state."""
+    from repro.core.engine import make_engine
 
     engine = make_engine(mult4, config=ddm_config(), engine_kind="vector")
     first = run_stimulus(engine, multiplication_sequence(PAPER_SEQUENCE_1))

@@ -38,7 +38,7 @@ def test_performance_doc_covers_every_tuning_knob():
     performance = (REPO_ROOT / "docs" / "performance.md").read_text()
     for knob in ("engine_kind", "batch_jobs", "batch_chunk_size",
                  "service_workers", "shm_transport", "--pool-workers",
-                 "--shm", "max_task_retries", "queue_kind"):
+                 "--shm", "max_task_retries"):
         assert knob in performance, "performance.md does not cover %s" % knob
 
 

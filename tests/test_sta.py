@@ -192,6 +192,76 @@ def test_report_surfaces():
 
 
 # ----------------------------------------------------------------------
+# arc-level and paper-level timing claims
+# ----------------------------------------------------------------------
+
+def test_single_inverter_window_is_its_arc_delays(library):
+    builder = CircuitBuilder(name="one")
+    a = builder.input("a")
+    builder.output(builder.gate("INV", a, name="g"), "y")
+    netlist = builder.build()
+    report = analyze(netlist, cdm_config(), input_slew=(0.2, 0.2))
+    load = netlist.net("y").load()
+    cell = library.get("INV")
+    delays = [cell.arc(0, rising).delay(load, 0.2) for rising in (False, True)]
+    # The gate input's event sits at its threshold crossing, which is
+    # at most this far from the input ramp's midpoint.
+    vt_fraction = netlist.gate("g").inputs[0].vt / netlist.vdd
+    offset = abs(vt_fraction - 0.5) * 0.2
+    window = report.window("y")
+    assert window.arrival_min == pytest.approx(min(delays) - offset)
+    assert window.arrival_max == pytest.approx(max(delays) + offset)
+    (path,) = report.critical_paths
+    assert path.endpoint == "y"
+    assert path.steps[0].arc_delay == pytest.approx(max(delays))
+
+
+def test_inverter_chain_critical_path_runs_the_whole_chain():
+    report = analyze(_chain(5), cdm_config())
+    critical = report.critical_paths[0]
+    assert critical.endpoint == "out5"
+    assert len(critical.steps) == 5
+    arrivals = [step.arrival for step in critical.steps]
+    assert arrivals == sorted(arrivals)
+
+
+def test_multiplier_constants_do_not_launch(mult4):
+    report = analyze(mult4, cdm_config())
+    assert not report.window("tie0").can_transition
+    assert report.critical_paths[0].arrival_max < float("inf")
+
+
+def test_multiplier_critical_path_fits_the_paper_period(mult4):
+    """The calibration requirement behind the whole evaluation: the
+    Figure 5 multiplier settles within the paper's 5 ns vector period."""
+    report = analyze(mult4, cdm_config(), input_slew=(0.2, 0.2))
+    critical = report.critical_paths[0]
+    assert 1.0 < critical.arrival_max < 5.0
+    assert critical.endpoint in {"s%d" % k for k in range(8)}
+
+
+def test_last_cdm_edge_never_exceeds_the_sta_bound(mult4):
+    """No committed CDM edge arrives later than the STA bound (the event
+    kernel exercises one input vector; STA maxes over all)."""
+    from repro.core.engine import simulate
+    from repro.stimuli.vectors import multiplication_sequence
+
+    report = analyze(mult4, cdm_config(), input_slew=(0.2, 0.2))
+    stimulus = multiplication_sequence([(0, 0), (15, 15)], period=5.0)
+    result = simulate(mult4, stimulus, config=cdm_config(),
+                      engine_kind="compiled")
+    last_edge = max(
+        (trace.edges()[-1][0] for trace in result.traces if trace.edges()),
+        default=0.0,
+    )
+    # The vector's 0.2 ns input ramps launch at 5 ns, so their
+    # midpoint, the windows' reference point, is at 5.1 ns.
+    launch = 5.0 + 0.5 * 0.2
+    assert last_edge > launch
+    assert last_edge - launch <= report.critical_paths[0].arrival_max + 1e-9
+
+
+# ----------------------------------------------------------------------
 # window cache
 # ----------------------------------------------------------------------
 
