@@ -7,9 +7,8 @@ Subcommands:
 * ``simulate`` — run a built-in circuit or a ``.bench`` file through
   HALOTIS with random or explicit vectors; optional VCD dump.  Batch
   modes (``--batch`` / ``--vector-file``) run many vector sequences
-  through one lowering, sharded cold with ``--jobs`` or on a
-  persistent warm-engine pool with ``--pool-workers`` (``--shm`` for
-  shared-memory trace transport); ``--stdin-vectors`` turns the
+  through one lowering, in-process or on a persistent warm-engine
+  pool with ``--pool-workers``; ``--stdin-vectors`` turns the
   command into a long-running streaming service reading one JSON
   sequence per stdin line.
 * ``serve`` — run the network simulation server: named netlists, each
@@ -22,9 +21,8 @@ Subcommands:
   critical paths, no simulation required (``--json`` for tooling).
 * ``faults {generate,run,report}`` — fault-injection campaigns:
   deterministic faultload generation, golden-diff campaigns over any
-  engine/throughput layer (``--jobs``, ``--pool-workers``,
-  ``--connect``), and dependability-report rendering (see
-  ``repro.faults``).
+  engine/throughput layer (``--pool-workers``, ``--connect``), and
+  dependability-report rendering (see ``repro.faults``).
 * ``stats`` — query a running ``repro serve`` instance: human summary,
   raw JSON (``--json``) or Prometheus text exposition
   (``--prometheus``) of the server's metrics registry.
@@ -172,22 +170,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "line per vector until EOF",
     )
     simulate_cmd.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for one-shot batch sharding (default 1: "
-        "in-process); each call spawns and tears down its own pool",
-    )
-    simulate_cmd.add_argument(
         "--pool-workers", type=int, metavar="N",
         help="run batch/streaming mode on a persistent SimulationService "
         "with N warm workers (engines built once, reused across vectors) "
-        "instead of cold --jobs sharding",
-    )
-    simulate_cmd.add_argument(
-        "--shm", action="store_true",
-        help="with --pool-workers: return traces through "
-        "multiprocessing.shared_memory record buffers instead of "
-        "pickling (bit-identical results; the default picks shared "
-        "memory automatically when the platform provides it)",
+        "instead of in-process",
     )
     simulate_cmd.add_argument(
         "--batch-out", metavar="DIR",
@@ -396,10 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=_engine_help(),
     )
     run.add_argument(
-        "--jobs", type=int, default=1,
-        help="shard the mutants over N processes (local path)",
-    )
-    run.add_argument(
         "--pool-workers", type=int, metavar="N",
         help="fan mutants over a warm N-worker SimulationService pool",
     )
@@ -523,11 +505,10 @@ def _cmd_simulate(args) -> int:
         return _cmd_simulate_stream(args, netlist, config)
     if args.batch is not None or args.vector_file:
         return _cmd_simulate_batch(args, netlist, config)
-    if (args.batch_out or args.jobs != 1
-            or args.pool_workers is not None or args.shm):
+    if args.batch_out or args.pool_workers is not None:
         raise SimulationError(
-            "--jobs/--pool-workers/--shm/--batch-out apply to batch mode "
-            "only; add --batch N, --vector-file PATH or --stdin-vectors"
+            "--pool-workers/--batch-out apply to batch mode only; add "
+            "--batch N, --vector-file PATH or --stdin-vectors"
         )
     stimulus = random_vectors(
         [net.name for net in netlist.primary_inputs],
@@ -555,16 +536,6 @@ def _cmd_simulate_batch(args, netlist, config) -> int:
             "--vcd applies to single runs; use --batch-out with "
             "--batch-format csv for per-vector waveforms"
         )
-    if args.pool_workers is not None and args.jobs != 1:
-        raise SimulationError(
-            "--jobs (cold per-call sharding) and --pool-workers (warm "
-            "persistent pool) are alternatives; pick one"
-        )
-    if args.shm and args.pool_workers is None:
-        raise SimulationError(
-            "--shm selects the warm pool's result transport; add "
-            "--pool-workers N (cold --jobs sharding always pickles)"
-        )
     if args.vector_file:
         stimuli = load_vector_batches(args.vector_file)
     else:
@@ -583,7 +554,6 @@ def _cmd_simulate_batch(args, netlist, config) -> int:
             config=config,
             workers=args.pool_workers,
             engine_kind=args.engine,
-            shm_transport=True if args.shm else None,
         ) as service:
             batch = simulate_batch(
                 netlist, stimuli, config=config, engine_kind=args.engine,
@@ -596,7 +566,6 @@ def _cmd_simulate_batch(args, netlist, config) -> int:
             stimuli,
             config=config,
             engine_kind=args.engine,
-            jobs=args.jobs,
         )
         transport = None
     print(circuit_stats.gather(netlist).format())
@@ -632,11 +601,6 @@ def _cmd_simulate_stream(args, netlist, config) -> int:
             "--vcd/--batch-out do not apply to --stdin-vectors; results "
             "stream to stdout as JSON lines"
         )
-    if args.jobs != 1:
-        raise SimulationError(
-            "--jobs does not apply to --stdin-vectors; size the warm "
-            "pool with --pool-workers"
-        )
     workers = args.pool_workers if args.pool_workers is not None else 1
     output_names = [net.name for net in netlist.primary_outputs]
 
@@ -652,7 +616,6 @@ def _cmd_simulate_stream(args, netlist, config) -> int:
         config=config,
         workers=workers,
         engine_kind=args.engine,
-        shm_transport=True if args.shm else None,
     ) as service:
         window: List = []
         for line_number, line in enumerate(sys.stdin, start=1):
@@ -694,10 +657,10 @@ def _cmd_simulate_remote(args, netlist, config) -> int:
             "--stdin-vectors and --connect are alternatives: pipe JSONL "
             "at the server's TCP port instead (see docs/architecture.md)"
         )
-    if args.jobs != 1 or args.pool_workers is not None or args.shm:
+    if args.pool_workers is not None:
         raise SimulationError(
-            "--jobs/--pool-workers/--shm tune *local* execution; with "
-            "--connect the pool lives server-side (size it with "
+            "--pool-workers tunes *local* execution; with --connect "
+            "the pool lives server-side (size it with "
             "'repro serve --pool-workers')"
         )
     # Validate *before* registering anything server-side: a doomed
@@ -928,8 +891,6 @@ def _cmd_faults(args) -> int:
             stimulus,
             config=config,
             engine_kind=args.engine,
-            via="service" if args.pool_workers else "local",
-            jobs=args.jobs,
             workers=args.pool_workers,
             settle=args.settle,
             epsilon=args.epsilon,
@@ -952,10 +913,10 @@ def _run_faults_remote(args, netlist, faultload, stimulus):
     from .faults.campaign import DependabilityReport
     from .server.client import SimulationClient, parse_address
 
-    if args.jobs != 1 or args.pool_workers is not None:
+    if args.pool_workers is not None:
         raise SimulationError(
-            "--jobs/--pool-workers tune *local* execution; with "
-            "--connect the pool lives server-side (size it with "
+            "--pool-workers tunes *local* execution; with --connect "
+            "the pool lives server-side (size it with "
             "'repro serve --pool-workers')"
         )
     if args.settle:

@@ -15,16 +15,13 @@ once, then stream every vector through reused simulator state:
   all dynamic state, so vector ``i`` of a batch is bit-identical to a
   standalone ``simulate()`` of the same stimulus (parity-tested in
   ``tests/core/test_batch.py``).
-* With ``jobs > 1`` the batch is sharded across worker processes: the
-  netlist — including its cached lowering — is pickled once per shard,
-  and each worker runs its shard as an in-process batch.  Results come
-  back in input order with ``result.simulator`` set to None (engines do
-  not cross process boundaries).
 * With ``service=...`` the batch runs on a live
   :class:`repro.core.service.SimulationService` — a persistent pool
   whose workers built their engines once and stay warm across calls,
-  returning traces through shared memory.  That is the steady-state
-  path for serving many batches of the same circuit.
+  returning traces through shared memory where the platform has it.
+  That is the only path by which a batch leaves the process; results
+  come back in input order with ``result.simulator`` set to None
+  (engines do not cross process boundaries).
 
 :class:`BatchResult` wraps the per-vector
 :class:`~repro.core.engine.SimulationResult` list with aggregate
@@ -35,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import time as _time
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence
 
 from ..circuit.netlist import Netlist
 from ..config import SimulationConfig
@@ -58,12 +55,13 @@ class BatchResult:
         results: one :class:`SimulationResult` per input stimulus, in
             input order.
         engine_kind: backend every vector ran on.
-        jobs: worker processes used (1 = in-process).
+        jobs: worker processes used (1 = in-process, else the
+            service's worker count).
         lowering_seconds: wall-clock spent lowering the netlist up
             front (0.0 when the lowering was already cached or the
             backend does not lower).
         wall_seconds: end-to-end wall-clock of the whole batch,
-            including sharding overhead.
+            including service dispatch overhead.
     """
 
     results: List[SimulationResult]
@@ -94,7 +92,7 @@ class BatchResult:
         :class:`SimulationStatistics` later are summed automatically
         (numeric fields add, dict fields merge per key).
         ``runtime_seconds`` is the summed in-kernel time; compare with
-        ``wall_seconds`` for the batching/sharding overhead.
+        ``wall_seconds`` for the batching/dispatch overhead.
         """
         total = SimulationStatistics()
         fields = dataclasses.fields(SimulationStatistics)
@@ -146,37 +144,6 @@ class BatchResult:
         return "\n".join(lines)
 
 
-def _shard_bounds(total: int, chunk_size: int) -> List[Tuple[int, int]]:
-    """Contiguous ``[start, end)`` shards of ``chunk_size`` vectors."""
-    return [
-        (start, min(start + chunk_size, total))
-        for start in range(0, total, chunk_size)
-    ]
-
-
-def _simulate_shard(payload) -> List[SimulationResult]:
-    """Worker-process entry point: one shard as an in-process batch.
-
-    Module-level so it pickles; the netlist inside ``payload`` carries
-    its cached lowering across the process boundary, so workers never
-    re-lower.  Engines are stripped from the returned results — they
-    are process-local and expensive to pickle.
-    """
-    netlist, stimuli, config, settle, seed, engine_kind = payload
-    batch = simulate_batch(
-        netlist,
-        stimuli,
-        config=config,
-        settle=settle,
-        seed=seed,
-        engine_kind=engine_kind,
-        jobs=1,
-    )
-    for result in batch.results:
-        result.simulator = None
-    return batch.results
-
-
 def simulate_batch(
     netlist: Netlist,
     stimuli: Sequence,
@@ -184,8 +151,6 @@ def simulate_batch(
     settle: float = 0.0,
     seed: Optional[Mapping[str, int]] = None,
     engine_kind: Optional[str] = None,
-    jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     service=None,
 ) -> BatchResult:
     """Run N stimulus sequences through one circuit, lowering it once.
@@ -197,11 +162,6 @@ def simulate_batch(
     vector.  Result ``i`` is bit-identical to
     ``simulate(netlist, stimuli[i], ...)``.
 
-    ``jobs`` (default ``config.batch_jobs``) > 1 shards the batch
-    across worker processes, ``chunk_size`` (default
-    ``config.batch_chunk_size``, else an even split) vectors per shard;
-    the netlist and its cached lowering are pickled once per shard.
-
     Backends with ``lockstep_batches`` take the lockstep fast path:
     ``engine_kind="vector"`` advances the whole batch through one numpy
     N-lane kernel
@@ -212,17 +172,16 @@ def simulate_batch(
     word (:meth:`repro.core.bitparallel.BitParallelSimulator.run_lockstep_batch`)
     — per-lane logic values stay bit-identical while event timing
     follows that backend's CDM-grade word contract
-    (docs/architecture.md).  With ``jobs > 1`` each shard runs its own
-    lockstep kernel.
+    (docs/architecture.md).  Lockstep kernels run in-process only.
 
     ``service`` routes the batch through a live
     :class:`repro.core.service.SimulationService` instead: the warm
     pool's engines do the work, nothing is re-lowered or re-spawned,
-    and ``jobs``/``chunk_size`` are ignored (the service's own worker
-    count applies).  The service must have been built for the same
-    netlist, and any ``config``/``engine_kind`` given here must match
-    the service's — its workers were constructed with those knobs and
-    cannot change them per call.
+    and each vector runs on its engine's single-run kernel.  The
+    service must have been built for the same netlist, and any
+    ``config``/``engine_kind`` given here must match the service's —
+    its workers were constructed with those knobs and cannot change
+    them per call.
     """
     stimuli = list(stimuli)
     if not stimuli:
@@ -236,19 +195,10 @@ def simulate_batch(
     config.validate()
     if engine_kind is None:
         engine_kind = config.engine_kind
-    if jobs is None:
-        jobs = config.batch_jobs
-    if jobs < 1:
-        raise SimulationError("jobs must be >= 1, got %d" % jobs)
-    if chunk_size is None:
-        chunk_size = config.batch_chunk_size
-    if chunk_size is not None and chunk_size < 1:
-        raise SimulationError("chunk_size must be >= 1, got %d" % chunk_size)
 
     wall_start = _time.perf_counter()
 
-    # Pay the lowering once, up front — the in-process path hands it to
-    # one shared engine, the sharded path pickles it to every worker.
+    # Pay the lowering once, up front, and hand it to one shared engine.
     # Whether a backend lowers at all comes from the registry, not from
     # a hard-coded backend name.
     lowering_seconds = 0.0
@@ -261,7 +211,6 @@ def simulate_batch(
         netlist.compile()
         lowering_seconds = _time.perf_counter() - lowering_start
 
-    jobs = min(jobs, len(stimuli))
     # Faulted stimuli (repro.faults) patch the shared lowering per
     # vector; a lockstep kernel runs all lanes over ONE lowering, so any
     # fault in the batch forces the per-vector run_stimulus loop (whose
@@ -269,44 +218,37 @@ def simulate_batch(
     has_faults = any(
         getattr(stimulus, "fault", None) is not None for stimulus in stimuli
     )
-    if jobs <= 1:
-        if engine_cls is not None and engine_cls.lockstep_batches and not has_faults:
-            # Lockstep fast path (the "vector" and "bitparallel"
-            # backends): all N vectors advance through one kernel
-            # instead of replaying the event loop per vector.  Sharded
-            # calls compose — each shard worker lands here with jobs=1.
-            results = engine_cls.run_lockstep_batch(
-                netlist, stimuli, config=config, settle=settle, seed=seed,
-            )
-            if config is not None and config.check_sta_bounds:
-                # Lockstep kernels bypass run_stimulus (its oracle hook
-                # covers every other path), so verify here.  Word
-                # engines merge lanes into shared events, so each
-                # lane's transitions are bounded by the *batch-wide*
-                # launch/slew hull, not its own stimulus' — pass the
-                # union, plus the class's declared per-arc hold slack.
-                _verify_lockstep_results(
-                    netlist, stimuli, results, config,
-                    engine_cls.sta_batch_time_slack(netlist, len(stimuli)),
-                )
-        else:
-            simulator = make_engine(
-                netlist, config=config, engine_kind=engine_kind
-            )
-            results = [
-                run_stimulus(simulator, stimulus, settle=settle, seed=seed)
-                for stimulus in stimuli
-            ]
-    else:
-        results = _simulate_sharded(
-            netlist, stimuli, config, settle, seed, engine_kind, jobs,
-            chunk_size,
+    if engine_cls is not None and engine_cls.lockstep_batches and not has_faults:
+        # Lockstep fast path (the "vector" and "bitparallel" backends):
+        # all N vectors advance through one kernel instead of replaying
+        # the event loop per vector.
+        results = engine_cls.run_lockstep_batch(
+            netlist, stimuli, config=config, settle=settle, seed=seed,
         )
+        if config.check_sta_bounds:
+            # Lockstep kernels bypass run_stimulus (its oracle hook
+            # covers every other path), so verify here.  Word engines
+            # merge lanes into shared events, so each lane's
+            # transitions are bounded by the *batch-wide* launch/slew
+            # hull, not its own stimulus' — pass the union, plus the
+            # class's declared per-arc hold slack.
+            _verify_lockstep_results(
+                netlist, stimuli, results, config,
+                engine_cls.sta_batch_time_slack(netlist, len(stimuli)),
+            )
+    else:
+        simulator = make_engine(
+            netlist, config=config, engine_kind=engine_kind
+        )
+        results = [
+            run_stimulus(simulator, stimulus, settle=settle, seed=seed)
+            for stimulus in stimuli
+        ]
 
     batch = BatchResult(
         results=results,
         engine_kind=engine_kind,
-        jobs=jobs,
+        jobs=1,
         lowering_seconds=lowering_seconds,
         wall_seconds=_time.perf_counter() - wall_start,
     )
@@ -315,23 +257,21 @@ def simulate_batch(
     return batch
 
 
-def _publish_batch_metrics(batch: BatchResult, mode: Optional[str] = None) -> None:
+def _publish_batch_metrics(batch: BatchResult, mode: str = "inprocess") -> None:
     """Batch-level throughput metrics, once per :func:`simulate_batch`.
 
     Per-vector engine counters are published elsewhere (``run_stimulus``
     per vector, or the lockstep drivers per batch); this layer only adds
     what the batch alone knows: vector count, end-to-end wall clock and
-    the lowering split.  Labelled by engine and by shard mode so the
-    sharded path's overhead is separable.  ``mode`` overrides the
-    jobs-derived label — the warm service pool passes ``"service"``.
+    the lowering split.  Labelled by engine and by mode so the warm
+    service pool's (``"service"``) overhead is separable from
+    in-process runs.
     """
     from ..obs import get_registry
 
     registry = get_registry()
     if not registry.enabled:
         return
-    if mode is None:
-        mode = "inprocess" if batch.jobs <= 1 else "sharded"
     labels = {"engine": batch.engine_kind, "mode": mode}
     registry.counter(
         "halotis_batch_runs_total",
@@ -432,44 +372,3 @@ def _simulate_via_service(
             % (engine_kind, service.engine_kind)
         )
     return service.run_batch(stimuli, settle=settle, seed=seed)
-
-
-def _simulate_sharded(
-    netlist: Netlist,
-    stimuli: List,
-    config: SimulationConfig,
-    settle: float,
-    seed: Optional[Mapping[str, int]],
-    engine_kind: str,
-    jobs: int,
-    chunk_size: Optional[int],
-) -> List[SimulationResult]:
-    """Fan shards across a process pool; results return in input order."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    if chunk_size is None:
-        chunk_size = -(-len(stimuli) // jobs)  # ceil division: even split
-    bounds = _shard_bounds(len(stimuli), chunk_size)
-    results: List[Optional[SimulationResult]] = [None] * len(stimuli)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(bounds))) as pool:
-        futures = [
-            (
-                start,
-                pool.submit(
-                    _simulate_shard,
-                    (
-                        netlist,
-                        stimuli[start:end],
-                        config,
-                        settle,
-                        seed,
-                        engine_kind,
-                    ),
-                ),
-            )
-            for start, end in bounds
-        ]
-        for start, future in futures:
-            for offset, result in enumerate(future.result()):
-                results[start + offset] = result
-    return results  # type: ignore[return-value]

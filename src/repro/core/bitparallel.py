@@ -1268,7 +1268,7 @@ class BitParallelSimulator(CompiledSimulator):
         engine_kind="bitparallel")``; result ``i`` carries lane ``i``'s
         logic values (bit-identical to ``simulate(netlist, stimuli[i],
         ...)`` on any backend) under the word timing contract.  Every
-        result carries ``simulator=None`` (like sharded batches).
+        result carries ``simulator=None`` (like service batches).
         """
         cls.ensure_available()
         if config is None:

@@ -646,7 +646,7 @@ class SimulationResult:
 
     ``simulator`` is the engine the run executed on.  Batched runs reuse
     one engine across vectors, so there it reflects the *last* vector's
-    final state; process-sharded batch results carry ``None`` (the
+    final state; service batch results carry ``None`` (the
     worker's engine cannot cross the process boundary), and so do
     lockstep batches (``engine_kind="vector"``) — the N-lane kernel has
     no per-vector engine to expose.

@@ -1,13 +1,9 @@
 """Persistent warm-engine simulation service.
 
-:func:`repro.core.batch.simulate_batch` with ``jobs > 1`` spins up a
-fresh process pool per call: every shard pays a worker spawn, a netlist
-unpickle and an engine build before the first event executes, and every
-result pickles its whole trace set back through the pool.  For a
-long-running, high-traffic deployment those are pure overhead — the
-circuit does not change between batches.
-
-:class:`SimulationService` keeps the expensive state *warm*:
+:class:`SimulationService` is the one way a batch leaves the process.
+A worker process pays a spawn, a netlist unpickle and an engine build
+before its first event executes; the circuit does not change between
+batches, so the service pays those once and keeps the state *warm*:
 
 * each worker process receives the pickled :class:`Netlist` (with its
   cached lowering) **once**, at spawn, builds its engine **once**, and
@@ -16,9 +12,8 @@ circuit does not change between batches.
 * edge traces return through a per-worker reusable
   ``multiprocessing.shared_memory`` buffer of packed transition records
   (:mod:`repro.core.shm_transport`), cutting the per-result copy to the
-  small stats/final-values metadata; where shared memory is unavailable
-  (or ``shm_transport=False``) results fall back to pickling with
-  bit-identical content;
+  small stats/final-values metadata; where the platform lacks shared
+  memory results are pickled instead, with bit-identical content;
 * a crashed worker is detected, respawned with the same warm payload,
   and its in-flight vector requeued — a stimulus that *keeps* killing
   workers fails its batch with :class:`ServiceError` after
@@ -97,7 +92,6 @@ class _ServiceMetrics:
     __slots__ = (
         "registry", "tasks", "task_seconds", "queue_wait",
         "chunk_vectors", "restarts", "requeued", "exhausted",
-        "shm_fallbacks",
     )
 
     def __init__(self, registry: MetricsRegistry):
@@ -134,11 +128,6 @@ class _ServiceMetrics:
             "halotis_service_retries_exhausted_total",
             "Chunks that failed their job after exhausting the "
             "crash-retry budget.",
-        )
-        self.shm_fallbacks = registry.counter(
-            "halotis_service_shm_fallbacks_total",
-            "Services that fell back from shared-memory to pickle "
-            "transport because the platform lacks shm.",
         )
 
 
@@ -399,14 +388,10 @@ class SimulationService:
         netlist: the circuit; lowered once up front (for lowering
             backends) so every worker inherits the cached lowering.
         config: engine knobs for every worker (default
-            :class:`SimulationConfig`); also supplies ``workers`` /
-            ``shm_transport`` defaults via its ``service_workers`` /
-            ``shm_transport`` fields.
+            :class:`SimulationConfig`); also supplies the ``workers``
+            default via its ``service_workers`` field.
         workers: worker-process count (>= 1).
         engine_kind: backend (defaults to ``config.engine_kind``).
-        shm_transport: True to move traces through shared memory, False
-            to pickle them, None (default) to use shared memory when the
-            platform provides it.  Both transports are bit-identical.
         max_task_retries: how many times one vector may crash a worker
             before its batch fails with :class:`ServiceError`.
 
@@ -421,7 +406,6 @@ class SimulationService:
         config: Optional[SimulationConfig] = None,
         workers: Optional[int] = None,
         engine_kind: Optional[str] = None,
-        shm_transport: Optional[bool] = None,
         max_task_retries: int = 2,
     ):
         import multiprocessing
@@ -446,11 +430,9 @@ class SimulationService:
         if workers < 1:
             raise ServiceError("workers must be >= 1, got %d" % workers)
         self.workers = workers
-        if shm_transport is None:
-            shm_transport = self.config.shm_transport
-        if shm_transport is None:
-            shm_transport = _shm_available()
-        self.transport = "shm" if (shm_transport and _shm_available()) else "pickle"
+        # Traces return through shared memory wherever the platform
+        # has it; both transports are bit-identical.
+        self.transport = "shm" if _shm_available() else "pickle"
         if max_task_retries < 0:
             raise ServiceError("max_task_retries must be >= 0")
         self.max_task_retries = max_task_retries
@@ -466,17 +448,6 @@ class SimulationService:
             if self.config.collect_metrics and registry.enabled
             else None
         )
-        if shm_transport and self.transport == "pickle":
-            # Requested shared memory, got pickle: not an error (results
-            # are bit-identical) but an operational surprise worth a
-            # counter and a log line — the per-result copy cost differs.
-            if self._metrics is not None:
-                self._metrics.shm_fallbacks.inc()
-            _LOG.warning(
-                "shared-memory transport unavailable; falling back to "
-                "pickle",
-                extra={"engine_kind": self.engine_kind},
-            )
 
         # Fail before spawning anything — an unknown kind, or a backend
         # whose optional dependency is missing (the vector engine

@@ -1204,7 +1204,7 @@ class VectorSimulator(CompiledSimulator):
         The fast path behind ``simulate_batch(...,
         engine_kind="vector")``; result ``i`` is bit-identical to
         ``simulate(netlist, stimuli[i], ...)`` on any backend.  Every
-        result carries ``simulator=None`` (like sharded batches): the
+        result carries ``simulator=None`` (like service batches): the
         lanes share one kernel, so there is no per-vector engine to
         hand out.
         """

@@ -123,14 +123,12 @@ def run_halotis_batch(
     mode: DelayMode,
     record_traces: bool = True,
     engine_kind: str = "reference",
-    jobs: int = 1,
 ) -> BatchResult:
     """Both paper sequences through one lowering via
     :func:`repro.core.batch.simulate_batch`.
 
     Result ``which - 1`` is bit-identical to ``run_halotis(which, ...)``
-    with the same knobs; ``jobs > 1`` shards the two sequences across
-    worker processes.
+    with the same knobs.
     """
     config = ddm_config() if mode is DelayMode.DDM else cdm_config()
     if not record_traces:
@@ -142,7 +140,6 @@ def run_halotis_batch(
         paper_stimulus_batch(),
         config=config,
         engine_kind=engine_kind,
-        jobs=jobs,
     )
 
 
@@ -206,15 +203,13 @@ def run_halotis_service(
     record_traces: bool = True,
     engine_kind: str = "compiled",
     workers: int = 2,
-    shm_transport: Optional[bool] = None,
 ) -> BatchResult:
     """Both paper sequences through a persistent warm-engine pool.
 
     Spins up a :class:`repro.core.service.SimulationService`, runs the
     Figure 6/7 batch on it and shuts it down; result ``which - 1`` is
     bit-identical to ``run_halotis(which, ...)`` with the same knobs.
-    ``shm_transport`` picks the result transport (None = shared memory
-    when available).  For a long-lived service, construct
+    For a long-lived service, construct
     :class:`~repro.core.service.SimulationService` directly and pass it
     to ``simulate_batch(..., service=...)`` per batch instead.
     """
@@ -228,7 +223,6 @@ def run_halotis_service(
         config=config,
         workers=workers,
         engine_kind=engine_kind,
-        shm_transport=shm_transport,
     ) as service:
         return simulate_batch(
             multiplier_netlist(),

@@ -19,11 +19,11 @@ run:
   a SET pulse into a don't-care window).
 
 Mutants fan out over whichever throughput layer the caller picks: the
-in-process / sharded batch runner (``via="local"``) or a warm
-:class:`~repro.core.service.SimulationService` pool (``via="service"``
-— the fast path for big campaigns, since workers keep their engines
-and lowering across mutants).  The server's ``faults`` op reuses the
-same classification entry points over its own pool.
+in-process batch runner (the default) or a warm
+:class:`~repro.core.service.SimulationService` pool (``service=`` or
+``workers=N`` — the fast path for big campaigns, since workers keep
+their engines and lowering across mutants).  The server's ``faults`` op
+reuses the same classification entry points over its own pool.
 """
 
 from __future__ import annotations
@@ -336,8 +336,6 @@ def run_campaign(
     stimulus: VectorSequence,
     config: Optional[SimulationConfig] = None,
     engine_kind: Optional[str] = None,
-    via: str = "local",
-    jobs: int = 1,
     workers: Optional[int] = None,
     service: Optional[SimulationService] = None,
     settle: Optional[float] = None,
@@ -350,21 +348,18 @@ def run_campaign(
         faultload: the mutants (validated against ``netlist``).
         stimulus: base ``VectorSequence`` every mutant replays.
         config: engine knobs; also supplies campaign defaults
-            (``campaign_settle``, ``campaign_detect_epsilon``,
-            ``campaign_workers``).
+            (``campaign_settle``, ``campaign_detect_epsilon``).
         engine_kind: backend for golden and mutants alike (defaults to
             ``config.engine_kind``); golden and mutants always share a
             backend so the diff never crosses timing contracts.
-        via: ``"local"`` for :func:`~repro.core.batch.simulate_batch`
-            (in-process, or sharded when ``jobs > 1``), ``"service"``
-            for a warm :class:`~repro.core.service.SimulationService`
-            pool.
-        jobs: shard count for the local path.
-        workers: pool size for the service path (default
-            ``config.campaign_workers``).
-        service: an existing (already warm) service to reuse; implies
-            ``via="service"`` and overrides ``workers``.  The caller
-            keeps ownership — it is not closed here.
+        workers: open a :class:`~repro.core.service.SimulationService`
+            of this many workers for the call and fan the mutants over
+            it.  With neither ``workers`` nor ``service`` the mutants
+            run in-process through
+            :func:`~repro.core.batch.simulate_batch`.
+        service: an existing (already warm) service to reuse instead;
+            it takes precedence over ``workers`` for the pool.  The
+            caller keeps ownership — it is not closed here.
         settle: extra post-horizon settle per run (default
             ``config.campaign_settle``).
         epsilon: edge-time diff tolerance (default
@@ -379,10 +374,10 @@ def run_campaign(
         settle = config.campaign_settle
     if epsilon is None:
         epsilon = config.campaign_detect_epsilon
-    if service is not None:
-        via = "service"
-    if via not in ("local", "service"):
-        raise FaultError("unknown campaign path %r (use 'local' or 'service')" % via)
+    pool_size = workers
+    if pool_size is None and service is not None:
+        pool_size = service.workers
+    via = "local" if pool_size is None else "service"
     faultload.validate(netlist)
 
     golden = simulate(
@@ -393,17 +388,12 @@ def run_campaign(
     start = _time.perf_counter()
     if not mutants:
         results: List[SimulationResult] = []
-    elif via == "service":
+    elif pool_size is not None:
         # Campaign mutants are many and short: chunk them so the queue
         # round-trip is paid per chunk, not per mutant, while keeping
-        # enough chunks in flight to feed every worker.
-        pool_size = workers
-        if pool_size is None:
-            pool_size = (
-                service.workers if service is not None
-                else config.campaign_workers
-            )
-        chunk = max(1, min(8, len(mutants) // (4 * pool_size)))
+        # enough chunks in flight to feed every worker.  (A pool size
+        # below 1 is the service's to reject, not a division's.)
+        chunk = max(1, min(8, len(mutants) // (4 * max(1, pool_size))))
         if service is not None:
             results = service.submit_batch(
                 mutants, settle=settle, chunk=chunk
@@ -425,7 +415,6 @@ def run_campaign(
             config=config,
             settle=settle,
             engine_kind=engine_kind,
-            jobs=jobs,
         ).results
     wall_seconds = _time.perf_counter() - start
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
 import socket as _socket
 import threading
 import time
@@ -602,9 +603,26 @@ class SimulationServer:
                 "register needs a 'source' object", kind="bad-frame"
             )
         workers = frame.get("workers")
-        if workers is not None and not isinstance(workers, int):
+        if workers is not None:
+            # bool is an int subclass; ``true`` is not a pool size.
+            if isinstance(workers, bool) or not isinstance(workers, int):
+                raise ServerError(
+                    "workers must be an integer", kind="bad-frame"
+                )
+            # One register + one simulate spawns this many processes:
+            # bound it by what the host (or the server's own default)
+            # can run, and refuse here, before anything is spawned.
+            limit = max(self.registry.default_workers, os.cpu_count() or 1)
+            if workers > limit:
+                raise ServerError(
+                    "workers must be <= %d on this server, got %d"
+                    % (limit, workers),
+                    kind="bad-frame",
+                )
+        record_traces = frame.get("record_traces", True)
+        if not isinstance(record_traces, bool):
             raise ServerError(
-                "workers must be an integer", kind="bad-frame"
+                "record_traces must be true or false", kind="bad-frame"
             )
         # Netlist construction can take a moment for big circuits; keep
         # the loop responsive (the registry is thread-safe).
@@ -615,8 +633,7 @@ class SimulationServer:
             mode=frame.get("mode", "ddm"),
             engine_kind=str(frame.get("engine", "compiled")),
             workers=workers,
-            shm_transport=frame.get("shm"),
-            record_traces=bool(frame.get("record_traces", True)),
+            record_traces=record_traces,
         )
         payload = entry.describe()
         payload["created"] = created

@@ -1,11 +1,12 @@
-"""Batched multi-vector simulation: parity, sharding, aggregation.
+"""Batched multi-vector simulation: parity, service routing, aggregation.
 
 The contract of :func:`repro.core.batch.simulate_batch` is that batching
 is *free* in accuracy terms: vector ``i`` of a batch is bit-identical —
 traces, raw transition streams, final values and every statistics
 counter except wall-clock — to a standalone ``simulate()`` of the same
 stimulus.  This holds for both delay modes, both engine backends, on
-randomized circuits, and across the process-pool sharding path.
+randomized circuits, and when a warm service's worker processes run
+the batch.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from repro.circuit import modules
 from repro.config import DelayMode, cdm_config, ddm_config
 from repro.core.batch import BatchResult, simulate_batch
 from repro.core.engine import simulate
-from repro.errors import SimulationError
+from repro.core.service import SimulationService
+from repro.errors import ServiceError, SimulationError
 from repro.experiments import common
-from repro.stimuli.patterns import random_vector_batch, random_vectors
+from repro.stimuli.patterns import random_vector_batch
 from repro.stimuli.vectors import PAPER_SEQUENCE_1, multiplication_sequence
 
 from test_backend_parity import random_netlist, random_stimulus
@@ -131,7 +133,7 @@ def test_batch_matches_run_halotis(mult4):
 
 
 # ----------------------------------------------------------------------
-# sharded (process pool) mode
+# sharded across a warm service's worker processes
 # ----------------------------------------------------------------------
 
 def test_sharded_batch_matches_in_process(mult4):
@@ -139,12 +141,18 @@ def test_sharded_batch_matches_in_process(mult4):
     stimuli = random_vector_batch(
         input_names, batch=5, count=2, period=3.0, base_seed=11
     )
+    config = ddm_config()
     in_process = simulate_batch(
-        mult4, stimuli, config=ddm_config(), engine_kind="compiled", jobs=1
+        mult4, stimuli, config=config, engine_kind="compiled"
     )
-    sharded = simulate_batch(
-        mult4, stimuli, config=ddm_config(), engine_kind="compiled", jobs=2
-    )
+    assert in_process.jobs == 1
+    with SimulationService(
+        mult4, config=config, workers=2, engine_kind="compiled"
+    ) as service:
+        sharded = simulate_batch(
+            mult4, stimuli, config=config, engine_kind="compiled",
+            service=service,
+        )
     assert sharded.jobs == 2
     for position in range(len(stimuli)):
         assert sharded[position].simulator is None
@@ -167,10 +175,16 @@ def test_sharded_chunk_size_preserves_order(mult4):
     stimuli = random_vector_batch(
         input_names, batch=4, count=1, period=3.0, base_seed=3
     )
-    batch = simulate_batch(
-        mult4, stimuli, config=ddm_config(record_traces=False),
-        engine_kind="compiled", jobs=2, chunk_size=1,
-    )
+    config = ddm_config(record_traces=False)
+    # The service dispatches one vector per task (chunk size 1), so the
+    # two workers finish out of order and results must be reordered.
+    with SimulationService(
+        mult4, config=config, workers=2, engine_kind="compiled"
+    ) as service:
+        batch = simulate_batch(
+            mult4, stimuli, config=config, engine_kind="compiled",
+            service=service,
+        )
     expected = [
         simulate(mult4, stimulus, config=ddm_config(record_traces=False),
                  engine_kind="compiled").final_values
@@ -180,7 +194,7 @@ def test_sharded_chunk_size_preserves_order(mult4):
 
 
 def test_netlist_pickles_flat_and_preserves_structure(mult4):
-    """The sharding substrate: large netlists cross process boundaries."""
+    """The service substrate: large netlists cross process boundaries."""
     clone = pickle.loads(pickle.dumps(mult4))
     assert list(clone.nets) == list(mult4.nets)
     assert list(clone.gates) == list(mult4.gates)
@@ -254,35 +268,9 @@ def test_aggregate_stats_sums_counters(c17):
 def test_batch_rejects_empty_and_bad_jobs(c17):
     with pytest.raises(SimulationError):
         simulate_batch(c17, [])
-    stimulus = random_vectors(
-        [net.name for net in c17.primary_inputs], count=1, period=2.0
-    )
-    with pytest.raises(SimulationError):
-        simulate_batch(c17, [stimulus], jobs=0)
-    with pytest.raises(SimulationError):
-        simulate_batch(c17, [stimulus], chunk_size=0)
-
-
-def test_config_batch_knobs_flow_through(c17):
-    """jobs/chunk_size default from SimulationConfig."""
-    input_names = [net.name for net in c17.primary_inputs]
-    stimuli = random_vector_batch(
-        input_names, batch=2, count=1, period=2.0, base_seed=9
-    )
-    config = ddm_config(batch_jobs=2, batch_chunk_size=1)
-    batch = simulate_batch(c17, stimuli, config=config, engine_kind="compiled")
-    assert batch.jobs == 2
-    assert all(result.simulator is None for result in batch)
-
-
-def test_jobs_clamped_to_batch_size(c17):
-    stimulus = random_vectors(
-        [net.name for net in c17.primary_inputs], count=1, period=2.0
-    )
-    batch = simulate_batch(c17, [stimulus], jobs=8)
-    # one vector never leaves the calling process
-    assert batch.jobs == 1
-    assert batch[0].simulator is not None
+    # A batch's worker count is its service's pool size.
+    with pytest.raises(ServiceError):
+        SimulationService(c17, workers=0)
 
 
 def test_batch_result_is_indexable_and_iterable(c17):

@@ -29,6 +29,7 @@ numpy = pytest.importorskip("numpy")
 from repro.config import DelayMode, InertialPolicy, cdm_config, ddm_config
 from repro.core.batch import simulate_batch
 from repro.core.engine import HalotisSimulator, run_stimulus, simulate
+from repro.core.service import SimulationService
 from repro.core.event_queue import SortedListQueue
 from repro.errors import SimulationLimitError
 from repro.experiments import common
@@ -181,10 +182,14 @@ def test_sharded_lockstep_matches_in_process(mult4):
     stimuli = random_vector_batch(
         input_names, batch=6, count=2, period=2.5, base_seed=13
     )
-    in_process = simulate_batch(mult4, stimuli, config=cdm_config(),
+    config = cdm_config()
+    in_process = simulate_batch(mult4, stimuli, config=config,
                                 engine_kind="bitparallel")
-    sharded = simulate_batch(mult4, stimuli, config=cdm_config(),
-                             engine_kind="bitparallel", jobs=2)
+    # Through a service each vector runs the engine's single-run kernel.
+    with SimulationService(mult4, config=config, workers=2,
+                           engine_kind="bitparallel") as service:
+        sharded = simulate_batch(mult4, stimuli, config=config,
+                                 engine_kind="bitparallel", service=service)
     assert sharded.jobs == 2
     for position in range(len(stimuli)):
         assert in_process[position].final_values == (

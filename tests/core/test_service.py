@@ -62,12 +62,14 @@ def assert_results_identical(result, standalone, netlist, context=""):
 @pytest.mark.parametrize("shm", [True, False], ids=["shm", "pickle"])
 @pytest.mark.parametrize("engine_kind", ["reference", "compiled", "vector"])
 @pytest.mark.parametrize("mode", ["ddm", "cdm"])
-def test_service_parity_with_standalone(mult4, mode, engine_kind, shm):
+def test_service_parity_with_standalone(mult4, mode, engine_kind, shm,
+                                        monkeypatch):
     config = ddm_config() if mode == "ddm" else cdm_config()
     stimuli = common.paper_stimulus_batch()
+    if not shm:
+        monkeypatch.setattr(service_module, "_shared_memory", None)
     with SimulationService(
         mult4, config=config, workers=2, engine_kind=engine_kind,
-        shm_transport=shm,
     ) as service:
         assert service.transport == ("shm" if shm else "pickle")
         batch = service.run_batch(stimuli)
@@ -83,19 +85,20 @@ def test_service_parity_with_standalone(mult4, mode, engine_kind, shm):
         )
 
 
-def test_shm_and_pickle_transports_bit_identical(mult4):
+def test_shm_and_pickle_transports_bit_identical(mult4, monkeypatch):
     """The two transports of the *same* workload agree record-for-record."""
     stimuli = common.paper_stimulus_batch()
     config = ddm_config()
     with SimulationService(
         mult4, config=config, workers=2, engine_kind="compiled",
-        shm_transport=True,
     ) as shm_service:
+        assert shm_service.transport == "shm"
         via_shm = shm_service.run_batch(stimuli)
+    monkeypatch.setattr(service_module, "_shared_memory", None)
     with SimulationService(
         mult4, config=config, workers=2, engine_kind="compiled",
-        shm_transport=False,
     ) as pickle_service:
+        assert pickle_service.transport == "pickle"
         via_pickle = pickle_service.run_batch(stimuli)
     for position in range(len(stimuli)):
         assert_results_identical(
@@ -145,16 +148,18 @@ def test_warm_service_survives_many_batches(mult4):
 
 
 @pytest.mark.parametrize("shm", [True, False], ids=["shm", "pickle"])
-def test_chunked_batches_bit_identical_to_unchunked(mult4, shm):
+def test_chunked_batches_bit_identical_to_unchunked(mult4, shm, monkeypatch):
     """``chunk > 1`` is pure transport amortisation: results are
     bit-identical to the per-vector dispatch on both transports, in
     input order, including a ragged final chunk."""
     stimuli = common.paper_stimulus_batch() * 2  # 10 vectors, chunk 4 -> ragged
     config = ddm_config()
+    if not shm:
+        monkeypatch.setattr(service_module, "_shared_memory", None)
     with SimulationService(
         mult4, config=config, workers=2, engine_kind="compiled",
-        shm_transport=shm,
     ) as service:
+        assert service.transport == ("shm" if shm else "pickle")
         unchunked = service.submit_batch(stimuli).wait()
         chunked = service.submit_batch(stimuli, chunk=4).wait()
         whole = service.submit_batch(stimuli, chunk=len(stimuli)).wait()
@@ -234,8 +239,8 @@ def test_shm_buffer_grows_for_large_traces(mult4):
     )
     with SimulationService(
         mult4, config=ddm_config(), workers=1, engine_kind="compiled",
-        shm_transport=True,
     ) as service:
+        assert service.transport == "shm"
         ordered = service.run_batch(small + large + small)
         worker = service._workers[0]
         assert worker.last_segment is not None
@@ -549,12 +554,14 @@ def test_submit_rejects_empty_and_bad_workers(mult4):
 
 
 def test_config_service_knobs_flow_through(mult4):
-    config = ddm_config(service_workers=3, shm_transport=False,
-                        engine_kind="compiled")
+    config = ddm_config(service_workers=3, engine_kind="compiled")
     with SimulationService(mult4, config=config) as service:
         assert service.workers == 3
-        assert service.transport == "pickle"
         assert service.engine_kind == "compiled"
+        # The platform alone picks the transport.
+        assert service.transport == (
+            "shm" if service_module._shm_available() else "pickle"
+        )
 
 
 def test_shm_unavailable_falls_back_to_pickle(mult4, monkeypatch):
@@ -563,7 +570,6 @@ def test_shm_unavailable_falls_back_to_pickle(mult4, monkeypatch):
     stimuli = common.paper_stimulus_batch()
     with SimulationService(
         mult4, config=ddm_config(), workers=2, engine_kind="compiled",
-        shm_transport=True,  # requested, but unavailable
     ) as service:
         assert service.transport == "pickle"
         batch = service.run_batch(stimuli)

@@ -5,8 +5,8 @@ different: for every stimulus, every lane of a lockstep batch must
 produce bit-identical event counts, statistics, edge lists and raw
 transition streams.  Exercised on the randomized circuit zoo of
 ``test_backend_parity`` under both delay modes and both inertial
-policies, and through the batch front end (in-process lockstep and
-process-sharded).
+policies, and through the batch front end (in-process lockstep and a
+warm service's worker processes).
 
 The two kernel paths — vectorised waves and the thin-wave scalar
 fallback — are both covered: lockstep batches over eight-plus lanes run
@@ -24,6 +24,7 @@ numpy = pytest.importorskip("numpy")
 from repro.config import InertialPolicy, cdm_config, ddm_config
 from repro.core.batch import simulate_batch
 from repro.core.engine import HalotisSimulator, run_stimulus, simulate
+from repro.core.service import SimulationService
 from repro.core.event_queue import SortedListQueue
 from repro.errors import SimulationLimitError
 from repro.experiments import common
@@ -178,10 +179,14 @@ def test_sharded_lockstep_matches_in_process(mult4):
     stimuli = random_vector_batch(
         input_names, batch=6, count=2, period=2.5, base_seed=13
     )
-    in_process = simulate_batch(mult4, stimuli, config=ddm_config(),
+    config = ddm_config()
+    in_process = simulate_batch(mult4, stimuli, config=config,
                                 engine_kind="vector")
-    sharded = simulate_batch(mult4, stimuli, config=ddm_config(),
-                             engine_kind="vector", jobs=2)
+    # Through a service each vector runs the engine's single-run kernel.
+    with SimulationService(mult4, config=config, workers=2,
+                           engine_kind="vector") as service:
+        sharded = simulate_batch(mult4, stimuli, config=config,
+                                 engine_kind="vector", service=service)
     assert sharded.jobs == 2
     for position in range(len(stimuli)):
         assert_results_bit_identical(

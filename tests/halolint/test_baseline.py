@@ -88,6 +88,56 @@ def test_baseline_only_swallows_its_own_fingerprints(lint_tree):
     assert "arc_fall" in fresh.message
 
 
+def test_each_entry_grandfathers_one_finding(lint_tree):
+    once = {MOD: """
+        def delay(value):
+            if value < 0:
+                raise ValueError("negative delay")
+            return value
+    """}
+    baseline = Baseline.from_findings(lint_tree(once).all_findings)
+
+    # A second site with the same rule, file and message — hence the
+    # same fingerprint — is a new finding, not a grandfathered one.
+    twice = {MOD: """
+        def delay(value):
+            if value < 0:
+                raise ValueError("negative delay")
+            return value
+
+        def slew(value):
+            if value <= 0:
+                raise ValueError("non-positive slew")
+            return value
+    """}
+    second = lint_tree(twice, baseline=baseline)
+    assert second.grandfathered == 1
+    assert second.exit_code() == 2
+    assert len(findings_for(second, "HL005")) == 1
+    assert second.stale_baseline == []
+
+
+def test_surplus_duplicate_entries_are_stale(lint_tree):
+    two = {MOD: """
+        def delay(value):
+            raise ValueError("negative delay")
+
+        def slew(value):
+            raise ValueError("non-positive slew")
+    """}
+    baseline = Baseline.from_findings(lint_tree(two).all_findings)
+    (mark,) = set(baseline.fingerprints)
+
+    one = {MOD: """
+        def delay(value):
+            raise ValueError("negative delay")
+    """}
+    second = lint_tree(one, baseline=baseline)
+    assert second.ok
+    assert second.grandfathered == 1
+    assert second.stale_baseline == [mark]
+
+
 def test_malformed_baseline_is_rejected(tmp_path):
     path = tmp_path / "baseline.json"
     path.write_text(json.dumps({"version": 99, "entries": []}))

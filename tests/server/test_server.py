@@ -14,6 +14,7 @@ clients, the CLI's ``--connect`` front end, and graceful shutdown.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 
@@ -398,6 +399,47 @@ def test_bad_sources_are_rejected(client):
     assert bad_kind.value.kind == "bad-source"
 
 
+def _register_kind(client, name, **fields):
+    """The error kind a raw register frame answers with (None = ok)."""
+    try:
+        client.call("register", name=name,
+                    source={"kind": "builtin", "name": "c17"}, **fields)
+    except ServerError as error:
+        return error.kind
+    return None
+
+
+def _worker_limit(server):
+    return max(server.registry.default_workers, os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("make_fields", [
+    lambda limit: {"record_traces": "false"},
+    lambda limit: {"record_traces": 0},
+    lambda limit: {"workers": True},
+    lambda limit: {"workers": limit + 1},
+    lambda limit: {"workers": 10 ** 6},
+], ids=["traces-string", "traces-int", "workers-bool", "workers-over-limit",
+        "workers-huge"])
+def test_register_rejects_mistyped_and_oversized_fields(client, server,
+                                                        make_fields):
+    """Field types and the pool size are vetted when the frame arrives:
+    nothing is registered, so nothing can be spawned for it."""
+    fields = make_fields(_worker_limit(server))
+    assert _register_kind(client, "vetted", **fields) == "bad-frame"
+    assert "vetted" not in {
+        entry["name"] for entry in client.list_netlists()
+    }
+
+
+def test_register_accepts_the_worker_limit(client, server):
+    # Registration alone spawns nothing: pools start on the first
+    # simulate, which this test never sends.
+    assert _register_kind(client, "at-limit", workers=_worker_limit(server),
+                          record_traces=False) is None
+    client.unregister("at-limit")
+
+
 # ----------------------------------------------------------------------
 # protocol errors
 # ----------------------------------------------------------------------
@@ -572,8 +614,8 @@ def test_cli_connect_rejects_local_pool_flags(server, capsys):
 
     address = "%s:%d" % (server.host, server.port)
     assert main([
-        "simulate", "--circuit", "c17", "--connect", address, "--jobs", "2",
-        "--batch", "2",
+        "simulate", "--circuit", "c17", "--connect", address,
+        "--pool-workers", "2", "--batch", "2",
     ]) == 1
     assert "server-side" in capsys.readouterr().err
     assert main([

@@ -146,21 +146,14 @@ def test_simulate_batch_from_vector_file(tmp_path, capsys):
     assert "vectors:                2" in capsys.readouterr().out
 
 
-def test_simulate_batch_jobs(capsys):
-    assert main([
-        "simulate", "--circuit", "c17", "--batch", "4", "--vectors", "1",
-        "--jobs", "2",
-    ]) == 0
-    assert "jobs:                   2" in capsys.readouterr().out
-
-
 def test_simulate_batch_pool_workers(capsys):
     assert main([
         "simulate", "--circuit", "c17", "--batch", "4", "--vectors", "2",
-        "--pool-workers", "2", "--shm", "--engine", "compiled",
+        "--pool-workers", "2", "--engine", "compiled",
     ]) == 0
     out = capsys.readouterr().out
     assert "service: 2 warm workers" in out
+    assert "jobs:                   2" in out
     assert "vectors:                4" in out
 
 
@@ -214,14 +207,6 @@ def test_stdin_vectors_reports_malformed_line(capsys, monkeypatch):
     assert "stdin line 1" in capsys.readouterr().err
 
 
-def test_shm_requires_pool_workers(capsys):
-    code = main([
-        "simulate", "--circuit", "c17", "--batch", "2", "--shm",
-    ])
-    assert code == 1
-    assert "--pool-workers" in capsys.readouterr().err
-
-
 def test_pool_workers_zero_is_rejected_everywhere(capsys):
     # batch mode: reaches the service and fails its validation
     assert main([
@@ -236,13 +221,17 @@ def test_pool_workers_zero_is_rejected_everywhere(capsys):
     assert "batch mode" in capsys.readouterr().err
 
 
-def test_jobs_and_pool_workers_are_exclusive(capsys):
-    code = main([
-        "simulate", "--circuit", "c17", "--batch", "2",
-        "--jobs", "2", "--pool-workers", "2",
-    ])
-    assert code == 1
-    assert "alternatives" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--circuit", "c17", "--batch", "2", "--jobs", "2"],
+    ["simulate", "--circuit", "c17", "--batch", "2", "--pool-workers", "2",
+     "--shm"],
+    ["faults", "run", "--circuit", "c17", "--jobs", "2"],
+], ids=["simulate-jobs", "simulate-shm", "faults-jobs"])
+def test_pool_workers_is_the_only_process_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_pool_flags_require_batch_mode(capsys):

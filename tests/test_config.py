@@ -44,13 +44,8 @@ def test_with_mode_changes_only_mode():
         ("min_delay", -1.0),
         ("time_resolution", -1e-9),
         ("default_input_slew", 0.0),
-        ("batch_jobs", 0),
-        ("batch_jobs", -2),
-        ("batch_chunk_size", 0),
-        ("batch_chunk_size", -1),
         ("service_workers", 0),
         ("service_workers", -3),
-        ("shm_transport", "yes"),
         ("server_host", ""),
         ("server_port", -1),
         ("server_port", 70000),
@@ -70,19 +65,21 @@ def test_configs_are_plain_dataclasses():
     assert clone == config
 
 
-def test_batch_knob_defaults():
-    config = SimulationConfig()
-    assert config.batch_jobs == 1
-    assert config.batch_chunk_size is None
-    ddm_config(batch_jobs=4, batch_chunk_size=8).validate()
-
-
 def test_service_knob_defaults():
     config = SimulationConfig()
     assert config.service_workers == 2
-    assert config.shm_transport is None
-    ddm_config(service_workers=4, shm_transport=True).validate()
-    ddm_config(shm_transport=False).validate()
+    ddm_config(service_workers=4).validate()
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["batch_jobs", "batch_chunk_size", "campaign_workers", "shm_transport"],
+)
+def test_worker_count_has_one_home(field):
+    """The service's pool size is the only process-count knob; the
+    transport follows the platform."""
+    with pytest.raises(TypeError):
+        ddm_config(**{field: 2})
 
 
 def test_server_knob_defaults():

@@ -96,7 +96,7 @@ def test_lockstep_batches_stay_inside_the_batch_hull(params):
         )
         for kind in LOCKSTEP_KINDS:
             batch = simulate_batch(
-                netlist, stimuli, config=config, engine_kind=kind, jobs=1
+                netlist, stimuli, config=config, engine_kind=kind
             )
             assert len(batch.results) == len(stimuli)
 
@@ -196,11 +196,11 @@ def test_oracle_detects_corrupted_arcs_in_lockstep_batches(
         for offset in range(4)
     ]
     config = SimulationConfig(record_traces=True, check_sta_bounds=True)
-    simulate_batch(netlist, stimuli, config=config, engine_kind=kind, jobs=1)
+    simulate_batch(netlist, stimuli, config=config, engine_kind=kind)
     patched_lowering(netlist, _slow_every_arc)
     with pytest.raises(OracleError, match="STA oracle"):
         simulate_batch(
-            netlist, stimuli, config=config, engine_kind=kind, jobs=1
+            netlist, stimuli, config=config, engine_kind=kind
         )
 
 

@@ -10,6 +10,7 @@ that round trip.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 from pathlib import Path
@@ -27,7 +28,7 @@ def fingerprint(finding: Finding) -> str:
 
 
 class Baseline:
-    """The set of grandfathered finding fingerprints."""
+    """The grandfathered finding fingerprints, one entry per finding."""
 
     def __init__(self, entries: Optional[Sequence[Dict[str, object]]] = None):
         self.entries: List[Dict[str, object]] = list(entries or [])
@@ -87,15 +88,20 @@ class Baseline:
         Returns ``(fresh, grandfathered_count, stale_fingerprints)`` —
         fresh findings gate the run; stale fingerprints matched nothing
         (the grandfathered code was fixed) and should be pruned.
+        Matching counts: each entry grandfathers at most one finding,
+        so a second finding with an already-baselined fingerprint is
+        fresh, and an entry left over once its findings are used up is
+        stale (listed once per surplus entry).
         """
-        known = self.fingerprints
+        remaining = collections.Counter(
+            str(entry["fingerprint"]) for entry in self.entries
+        )
         fresh: List[Finding] = []
-        seen: set[str] = set()
         for finding in findings:
             mark = fingerprint(finding)
-            if mark in known:
-                seen.add(mark)
+            if remaining[mark] > 0:
+                remaining[mark] -= 1
             else:
                 fresh.append(finding)
-        stale = sorted(known - seen)
+        stale = sorted(remaining.elements())
         return fresh, len(findings) - len(fresh), stale
