@@ -559,7 +559,6 @@ def _cmd_simulate_batch(args, netlist, config) -> int:
                 netlist, stimuli, config=config, engine_kind=args.engine,
                 service=service,
             )
-            transport = service.transport
     else:
         batch = simulate_batch(
             netlist,
@@ -567,13 +566,11 @@ def _cmd_simulate_batch(args, netlist, config) -> int:
             config=config,
             engine_kind=args.engine,
         )
-        transport = None
     print(circuit_stats.gather(netlist).format())
     print()
     print("mode: HALOTIS-%s (batch)" % args.mode.upper())
-    if transport is not None:
-        print("service: %d warm workers, %s transport"
-              % (args.pool_workers, transport))
+    if args.pool_workers is not None:
+        print("service: %d warm workers" % args.pool_workers)
     print(batch.format())
     if args.batch_out:
         written = write_batch_results(

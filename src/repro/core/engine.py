@@ -124,7 +124,7 @@ def resolve_engine_class(engine_kind: str) -> Type[EngineBase]:
     _ensure_backends_registered()
     try:
         return ENGINE_KINDS[engine_kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise SimulationError(
             "unknown engine kind %r (choose from %s)"
             % (engine_kind, sorted(ENGINE_KINDS))

@@ -9,20 +9,18 @@ batches, so the service pays those once and keeps the state *warm*:
   cached lowering) **once**, at spawn, builds its engine **once**, and
   then serves arbitrarily many vectors — steady state pays only
   per-vector simulation cost, never re-lowering or re-spawn;
-* edge traces return through a per-worker reusable
-  ``multiprocessing.shared_memory`` buffer of packed transition records
-  (:mod:`repro.core.shm_transport`), cutting the per-result copy to the
-  small stats/final-values metadata; where the platform lacks shared
-  memory results are pickled instead, with bit-identical content;
+* edge traces return on the result queue as one block of packed
+  transition records per chunk (:mod:`repro.core.shm_transport`), next
+  to the small stats/final-values metadata, instead of one pickled
+  object per transition;
 * a crashed worker is detected, respawned with the same warm payload,
   and its in-flight vector requeued — a stimulus that *keeps* killing
   workers fails its batch with :class:`ServiceError` after
   ``max_task_retries`` without poisoning the service.
 
 The dispatch discipline is one-in-flight-per-worker: the parent hands a
-worker its next vector only after consuming the previous result, which
-is exactly what makes the single reusable shm buffer per worker safe
-(the worker never overwrites records the parent has not read).
+worker its next chunk only after consuming the previous result, so a
+crash loses exactly the one chunk the parent knows to requeue.
 
 Typical use::
 
@@ -40,7 +38,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
-import os
 import queue as _queue
 import time as _time
 import traceback as _traceback
@@ -62,17 +59,9 @@ from .engine import (
 )
 from . import shm_transport
 
-try:  # pragma: no cover - availability is platform-dependent
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-
 #: Parent-side poll interval while waiting for results; short enough to
 #: notice a dead worker promptly, long enough not to spin.
 _POLL_SECONDS = 0.05
-
-#: Distinguishes the shm buffers of multiple services in one process.
-_SERVICE_SEQ = itertools.count()
 
 _LOG = get_logger("service")
 
@@ -131,61 +120,15 @@ class _ServiceMetrics:
         )
 
 
-def _shm_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` is usable here."""
-    return _shared_memory is not None
-
-
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-
-class _WorkerShmBuffer:
-    """One worker's reusable shared-memory result buffer.
-
-    Grown (to the next power of two) when a payload outgrows it; each
-    growth bumps the generation suffix so the parent can tell a fresh
-    segment from a cached attachment.  Safe to reuse between results
-    because the parent only dispatches a worker's next task after
-    reading its previous one.
-    """
-
-    def __init__(self, base_name: str):
-        self._base = base_name
-        self._shm = None
-        self._generation = 0
-
-    def write(self, payload: bytes) -> str:
-        """Copy ``payload`` into the buffer, growing it if needed;
-        returns the segment name holding the data."""
-        needed = max(len(payload), 1)
-        if self._shm is None or self._shm.size < needed:
-            self.destroy()
-            self._generation += 1
-            size = 1 << max(16, needed.bit_length())
-            self._shm = _shared_memory.SharedMemory(
-                create=True,
-                name="%sg%d" % (self._base, self._generation),
-                size=size,
-            )
-        self._shm.buf[: len(payload)] = payload
-        return self._shm.name
-
-    def destroy(self) -> None:
-        if self._shm is not None:
-            self._shm.close()
-            with contextlib.suppress(FileNotFoundError):
-                self._shm.unlink()  # pragma: no cover - parent may race us
-            self._shm = None
-
 
 def _worker_main(
     worker_id: int,
     netlist: Netlist,
     config: SimulationConfig,
     engine_kind: str,
-    transport: str,
-    shm_base: str,
     task_queue,
     result_queue,
 ) -> None:
@@ -198,24 +141,20 @@ def _worker_main(
     is the worker registry's ``snapshot(reset=True)`` metrics delta, or
     None when metrics collection is off):
 
-    * ``("shm", worker_id, generation, job_id, indices, segment, metas,
-      snap)``
-    * ``("pickle", worker_id, generation, job_id, indices, results,
-      snap)``
+    * ``("ok", worker_id, generation, job_id, indices, block, metas,
+      snap)`` — ``block`` is the chunk's packed trace records back to
+      back, ``metas[k]["nbytes"]`` the length of result ``k``'s share;
     * ``("error", worker_id, generation, job_id, index, type_name, text,
       snap)``
 
-    One message per chunk keeps the single shm buffer safe to reuse (the
-    parent reads it before this worker gets its next task) and is the
-    point of chunking: the queue round-trip is paid once per chunk, not
-    once per vector.  On an error the rest of the chunk is abandoned —
-    the parent fails the whole job on the first error anyway.
+    One message per chunk is the point of chunking: the queue round-trip
+    is paid once per chunk, not once per vector.  On an error the rest
+    of the chunk is abandoned — the parent fails the whole job on the
+    first error anyway.
 
     The generation stamp lets the parent discard messages a worker
     emitted before it was declared dead and its task requeued.
     """
-    engine = make_engine(netlist, config=config, engine_kind=engine_kind)
-    buffer = _WorkerShmBuffer(shm_base) if transport == "shm" else None
     # Engine metrics published by run_stimulus land in this worker's own
     # process-local registry; each result message carries the delta since
     # the previous one (snapshot(reset=True)), which the parent folds
@@ -223,63 +162,45 @@ def _worker_main(
     worker_registry = get_registry() if config.collect_metrics else None
     if worker_registry is not None and not worker_registry.enabled:
         worker_registry = None
+    if worker_registry is not None:
+        # A forked worker inherits the parent's counts; they are the
+        # parent's already, so they must not ride back in the first delta.
+        worker_registry.snapshot(reset=True)
 
     def _snap():
         if worker_registry is None:
             return None
         return worker_registry.snapshot(reset=True)
 
-    try:
-        while True:
-            task = task_queue.get()
-            if task is None:
+    engine = make_engine(netlist, config=config, engine_kind=engine_kind)
+    while True:
+        task = task_queue.get()
+        if task is None:
+            break
+        generation, job_id, indices, stimuli, settle, seed = task
+        payloads = []
+        metas = []
+        for index, stimulus in zip(indices, stimuli):
+            try:
+                result = run_stimulus(engine, stimulus, settle=settle, seed=seed)
+            except Exception as error:  # noqa: BLE001 - forwarded to parent
+                result_queue.put((
+                    "error", worker_id, generation, job_id, index,
+                    type(error).__name__,
+                    "%s\n%s" % (error, _traceback.format_exc()),
+                    _snap(),
+                ))
                 break
-            generation, job_id, indices, stimuli, settle, seed = task
-            results = []
-            failed = False
-            for index, stimulus in zip(indices, stimuli):
-                try:
-                    results.append(
-                        run_stimulus(engine, stimulus, settle=settle, seed=seed)
-                    )
-                except Exception as error:  # noqa: BLE001 - forwarded to parent
-                    result_queue.put((
-                        "error", worker_id, generation, job_id, index,
-                        type(error).__name__,
-                        "%s\n%s" % (error, _traceback.format_exc()),
-                        _snap(),
-                    ))
-                    failed = True
-                    break
-            if failed:
-                continue
-            for result in results:
-                result.simulator = None
-                # Strip the per-result metrics annotation: the registry
-                # snapshot below carries the aggregates, and the two
-                # transports must return bit-identical results (shm
-                # packing would drop the dict; pickle would not).
-                result.metrics = None
-            if buffer is not None:
-                payloads = []
-                metas = []
-                for result in results:
-                    payload, meta = shm_transport.pack_result(result)
-                    payloads.append(payload)
-                    metas.append(meta)
-                segment = buffer.write(b"".join(payloads))
-                result_queue.put((
-                    "shm", worker_id, generation, job_id, indices,
-                    segment, metas, _snap(),
-                ))
-            else:
-                result_queue.put((
-                    "pickle", worker_id, generation, job_id, indices,
-                    results, _snap(),
-                ))
-    finally:
-        if buffer is not None:
-            buffer.destroy()
+            # Packing drops the engine and the per-result metrics dict;
+            # the registry delta below carries the aggregates.
+            payload, meta = shm_transport.pack_result(result)
+            payloads.append(payload)
+            metas.append(meta)
+        else:
+            result_queue.put((
+                "ok", worker_id, generation, job_id, indices,
+                b"".join(payloads), metas, _snap(),
+            ))
 
 
 # ----------------------------------------------------------------------
@@ -310,8 +231,7 @@ class _Task:
 class _Worker:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = ("process", "task_queue", "generation", "current",
-                 "last_segment")
+    __slots__ = ("process", "task_queue", "generation", "current")
 
     def __init__(self, process, task_queue, generation):
         self.process = process
@@ -319,8 +239,6 @@ class _Worker:
         self.generation = generation
         #: the task currently in flight on this worker (None = idle).
         self.current: Optional[_Task] = None
-        #: last shm segment name this worker reported (for crash cleanup).
-        self.last_segment: Optional[str] = None
 
 
 class BatchJob:
@@ -417,7 +335,6 @@ class SimulationService:
         self._closed = False
         self._workers: List[_Worker] = []
         self._result_queue = None
-        self._attachments: Dict[str, object] = {}
 
         self.netlist = netlist
         self.config = config if config is not None else SimulationConfig()
@@ -430,9 +347,6 @@ class SimulationService:
         if workers < 1:
             raise ServiceError("workers must be >= 1, got %d" % workers)
         self.workers = workers
-        # Traces return through shared memory wherever the platform
-        # has it; both transports are bit-identical.
-        self.transport = "shm" if _shm_available() else "pickle"
         if max_task_retries < 0:
             raise ServiceError("max_task_retries must be >= 0")
         self.max_task_retries = max_task_retries
@@ -462,15 +376,6 @@ class SimulationService:
             self.lowering_seconds = _time.perf_counter() - start
 
         self._ctx = multiprocessing.get_context()
-        if self.transport == "shm":
-            # Start the resource tracker in the parent so every worker
-            # (forked or spawned) shares it: segment ownership can then
-            # move between processes without leak warnings at shutdown.
-            with contextlib.suppress(ImportError, AttributeError):
-                # pragma: no cover - tracker is posix-only
-                from multiprocessing import resource_tracker
-                resource_tracker.ensure_running()
-        self._shm_base = "hal%dx%d" % (os.getpid(), next(_SERVICE_SEQ))
         self._result_queue = self._ctx.Queue()
         self._pending: collections.deque[_Task] = collections.deque()
         self._jobs: Dict[int, BatchJob] = {}
@@ -503,13 +408,13 @@ class SimulationService:
     def close(self, timeout: float = 5.0) -> None:
         """Shut the pool down; idempotent and bounded in time.
 
-        Live workers get a poison pill (and unlink their shm buffers on
-        the way out).  Stragglers escalate on a hard schedule — join
-        until ``timeout`` expires, then ``terminate()`` (SIGTERM), then
-        ``kill()`` (SIGKILL) — so ``close()`` returns within a small
-        multiple of ``timeout`` even when a worker is wedged in native
-        code, already dead, or was never fully started (a construction
-        failure leaves an empty pool, which closes as a no-op).
+        Live workers get a poison pill.  Stragglers escalate on a hard
+        schedule — join until ``timeout`` expires, then ``terminate()``
+        (SIGTERM), then ``kill()`` (SIGKILL) — so ``close()`` returns
+        within a small multiple of ``timeout`` even when a worker is
+        wedged in native code, already dead, or was never fully started
+        (a construction failure leaves an empty pool, which closes as a
+        no-op).
         """
         if self._closed:
             return
@@ -521,7 +426,7 @@ class SimulationService:
         #: Per-escalation grace; a terminated/killed process reaps in
         #: well under this unless the host is in serious trouble.
         grace = min(1.0, max(0.1, timeout / 4.0)) if timeout > 0 else 0.1
-        for worker_id, worker in enumerate(self._workers):
+        for worker in self._workers:
             worker.process.join(max(0.0, deadline - _time.monotonic()))
             if worker.process.is_alive():
                 worker.process.terminate()
@@ -529,15 +434,8 @@ class SimulationService:
             if worker.process.is_alive():  # pragma: no cover - SIGTERM masked
                 worker.process.kill()
                 worker.process.join(grace)
-            if worker.process.exitcode != 0:
-                # A worker that did not exit its loop cleanly never ran
-                # its shm destructor; unlink from the parent side.
-                self._unlink_worker_segments(worker_id, worker)
             worker.task_queue.cancel_join_thread()
             worker.task_queue.close()
-        for attachment in self._attachments.values():
-            attachment.close()
-        self._attachments.clear()
         if self._result_queue is not None:
             self._result_queue.cancel_join_thread()
             self._result_queue.close()
@@ -678,12 +576,7 @@ class SimulationService:
         if generation != worker.generation:
             # A ghost: the worker finished a task after we declared it
             # dead and requeued the work.  The requeued copy is (or will
-            # be) the authoritative result — but the segment the ghost
-            # names belonged to the dead worker (spawn names embed the
-            # generation, so it cannot be the replacement's) and nobody
-            # else will ever unlink it.
-            if kind == "shm":
-                self._unlink_segment(message[5])
+            # be) the authoritative result.
             return
         job_id = message[3]
         job = self._jobs.get(job_id)
@@ -712,49 +605,20 @@ class SimulationService:
         if task is not None and (task.job_id, task.indices) == (job_id, indices):
             worker.current = None
             self._observe_task(task, "ok")
-        if kind == "shm":
-            segment, metas = message[5], message[6]
-            if worker.last_segment not in (None, segment):
-                # The worker grew (and unlinked) its buffer; drop our
-                # mapping of the abandoned segment.
-                stale = self._attachments.pop(worker.last_segment, None)
-                if stale is not None:
-                    stale.close()
-            worker.last_segment = segment
-            results = self._read_shm_results(segment, metas)
-        else:
-            results = message[5]
         if job is not None and job._error is None:
-            for index, result in zip(indices, results):
-                job._store(index, result)
+            # The chunk's payloads sit back to back in one block, each
+            # meta carrying its own byte length.
+            block, metas = memoryview(message[5]), message[6]
+            offset = 0
+            for index, meta in zip(indices, metas):
+                job._store(index, shm_transport.unpack_result(
+                    meta, block[offset:]
+                ))
+                offset += meta["nbytes"]
         if job is not None and job.done:
             # The handle keeps its own results; the registry must not
             # grow without bound over a long-running service.
             self._jobs.pop(job_id, None)
-
-    def _read_shm_results(self, segment: str, metas) -> List[SimulationResult]:
-        shm = self._attachments.get(segment)
-        if shm is None:
-            # Attaching re-registers the name with the resource tracker;
-            # because the tracker was started before the workers forked
-            # it is shared, its cache is a set, and the duplicate is a
-            # no-op — whoever unlinks (worker on graceful shutdown, or
-            # _unlink_segment after a crash) clears the single entry.
-            shm = _shared_memory.SharedMemory(name=segment)
-            self._attachments[segment] = shm
-        # A chunk's payloads sit back to back in the segment, each
-        # meta carrying its own byte length.
-        results = []
-        offset = 0
-        for meta in metas:
-            nbytes: int = meta["nbytes"]
-            results.append(
-                shm_transport.unpack_result(
-                    meta, shm.buf[offset:offset + nbytes]
-                )
-            )
-            offset += nbytes
-        return results
 
     # -- metrics plumbing ----------------------------------------------
 
@@ -793,7 +657,6 @@ class SimulationService:
         dead.process.join(timeout=0.1)
         dead.task_queue.cancel_join_thread()
         dead.task_queue.close()
-        self._unlink_worker_segments(worker_id, dead)
         self.worker_restarts += 1
         if self._metrics is not None:
             self._metrics.restarts.inc()
@@ -847,44 +710,6 @@ class SimulationService:
         )
         self._pending.appendleft(task)
 
-    def _unlink_worker_segments(self, worker_id: int, dead: _Worker) -> None:
-        """Clean up a dead worker's shm buffer, wherever growth left it.
-
-        A worker holds at most one live segment (growth unlinks the old
-        one before creating the next generation), but it may have grown
-        past the last name the parent saw — crash before the result
-        message flushed, or the message was ghost-dropped.  Probing a
-        window of generation suffixes past the last known one costs a
-        handful of ENOENT lookups and closes that leak.
-        """
-        base = "%sw%dr%d" % (self._shm_base, worker_id, dead.generation)
-        known = 0
-        if dead.last_segment is not None:
-            self._unlink_segment(dead.last_segment)
-            prefix = base + "g"
-            if dead.last_segment.startswith(prefix):
-                try:
-                    known = int(dead.last_segment[len(prefix):])
-                except ValueError:  # pragma: no cover - names are ours
-                    known = 0
-        for generation in range(known + 1, known + 17):
-            self._unlink_segment("%sg%d" % (base, generation))
-
-    def _unlink_segment(self, segment: Optional[str]) -> None:
-        """Best-effort cleanup of a dead worker's shm segment."""
-        if segment is None or _shared_memory is None:
-            return
-        attachment = self._attachments.pop(segment, None)
-        if attachment is not None:
-            attachment.close()
-        try:
-            victim = _shared_memory.SharedMemory(name=segment)
-        except FileNotFoundError:
-            return
-        victim.close()
-        with contextlib.suppress(FileNotFoundError):
-            victim.unlink()  # pragma: no cover - tracker may race us
-
     # -- worker spawning -----------------------------------------------
 
     def _spawn_worker(self, worker_id: int, generation: int = 0) -> _Worker:
@@ -896,8 +721,6 @@ class SimulationService:
                 self.netlist,
                 self.config,
                 self.engine_kind,
-                self.transport,
-                "%sw%dr%d" % (self._shm_base, worker_id, generation),
                 task_queue,
                 self._result_queue,
             ),

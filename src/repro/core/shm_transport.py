@@ -1,24 +1,25 @@
-"""Binary trace transport for the simulation service.
+"""Packed trace codec for the simulation service's result queue.
 
-Process-sharded simulation has to move every result back to the parent
-process.  Pickling a :class:`~repro.core.engine.SimulationResult` works
-everywhere, but for large circuits the dominant payload — the per-net
-transition traces — pickles one Python object per transition.  This
-module flattens a result's traces into packed fixed-width records
+Every result a service worker produces travels back to the parent on
+its result queue.  Pickling a :class:`~repro.core.engine.SimulationResult`
+directly costs one Python object per transition of the per-net traces,
+the dominant payload for large circuits.  This module flattens a
+result's traces into packed fixed-width records
 
     ``(net_id, flags, t50, duration, degradation_factor, cause_time)``
 
-(one 40-byte little-endian struct per transition) so a worker can write
-them straight into a ``multiprocessing.shared_memory`` buffer and the
-parent can reconstruct the traces with zero intermediate copies.  The
-small remainder of a result (statistics counters, final values, trace
-names/initial values) travels as ordinary queue metadata.
+(one 40-byte little-endian struct per transition), so a worker ships a
+chunk's traces as one ``bytes`` block and the parent rebuilds them from
+a view into that block.  The small remainder of a result (statistics
+counters, final values, trace names/initial values) travels next to it
+as plain metadata.  The module keeps its historical name; no shared
+memory is involved.
 
 The packing is *lossless*: every :class:`~repro.core.transition.Transition`
 field survives bit-for-bit (floats cross as IEEE-754 doubles, ``None``
-cause times as NaN), so shm-transported results are bit-identical to
-pickled ones — the parity suite in ``tests/core/test_service.py`` pins
-this for both engines and both delay modes.
+cause times as NaN), so service results are bit-identical to standalone
+``simulate()`` runs — the parity suite in ``tests/core/test_service.py``
+pins this for every engine and both delay modes.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ _FLAG_HAS_CAUSE = 2
 def pack_result(result: SimulationResult) -> Tuple[bytes, Dict[str, object]]:
     """Flatten ``result`` into ``(payload, meta)``.
 
-    ``payload`` is the packed transition-record block (the part worth
-    putting in shared memory); ``meta`` is a small plain dict carrying
-    everything else and is meant to travel over a pickling queue.
+    ``payload`` is the packed transition-record block; ``meta`` is a
+    small plain dict carrying everything else, meant to travel next to
+    the payload over a pickling queue.
     ``result.simulator`` is not transported (engines are process-local).
     """
     traces = result.traces
@@ -83,9 +84,9 @@ def pack_result(result: SimulationResult) -> Tuple[bytes, Dict[str, object]]:
 def unpack_result(meta: Dict[str, object], buffer) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` from :func:`pack_result` output.
 
-    ``buffer`` is any bytes-like object (a ``memoryview`` over a shared
-    memory block, typically) holding at least ``meta["nbytes"]`` bytes of
-    packed records.  Statistics and final values come straight from the
+    ``buffer`` is any bytes-like object (typically a ``memoryview`` into
+    a chunk's record block) starting with ``meta["nbytes"]`` bytes of
+    packed records; anything past them is ignored.  Statistics and final values come straight from the
     metadata; traces are reconstructed in original name order with their
     transitions in original emission order.
     """

@@ -628,10 +628,10 @@ class SimulationServer:
         # the loop responsive (the registry is thread-safe).
         entry, created = await asyncio.to_thread(
             self.registry.register,
-            str(frame.get("name", "")),
+            frame.get("name"),
             source,
             mode=frame.get("mode", "ddm"),
-            engine_kind=str(frame.get("engine", "compiled")),
+            engine_kind=frame.get("engine", "compiled"),
             workers=workers,
             record_traces=record_traces,
         )
@@ -640,7 +640,7 @@ class SimulationServer:
         return payload
 
     async def _op_unregister(self, frame: dict) -> Dict[str, object]:
-        name = str(frame.get("name", ""))
+        name = frame.get("name")
         self.registry.unregister(name)
         return {"name": name, "closed": True}
 

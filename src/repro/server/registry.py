@@ -87,6 +87,14 @@ def _source_fingerprint(source: Mapping[str, object]) -> str:
     return "bench:%s" % digest
 
 
+def _require_name(name: object) -> None:
+    """Frames carry raw JSON: a null, number or list is not a name."""
+    if not isinstance(name, str) or not name:
+        raise ServerError(
+            "netlist name must be a non-empty string", kind="bad-frame"
+        )
+
+
 class NetlistEntry:
     """One registered circuit and its (lazily created) warm pool."""
 
@@ -248,10 +256,7 @@ class NetlistRegistry:
         name with *different* source or knobs raises ``conflict``, and a
         registration past ``max_netlists`` raises ``capacity``.
         """
-        if not isinstance(name, str) or not name:
-            raise ServerError(
-                "netlist name must be a non-empty string", kind="bad-frame"
-            )
+        _require_name(name)
         if mode not in ("ddm", "cdm"):
             raise ServerError(
                 "mode must be 'ddm' or 'cdm', got %r" % (mode,),
@@ -352,6 +357,7 @@ class NetlistRegistry:
         ``wait=False`` (the default, used by the live server) lets the
         pool drain on its dispatch thread without blocking the caller.
         """
+        _require_name(name)
         with self._lock:
             entry = self._entries.pop(name, None)
         if entry is None:

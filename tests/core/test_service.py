@@ -3,11 +3,10 @@
 The service's contract extends the batch contract: a vector simulated on
 a warm pooled worker is bit-identical — traces, raw transition streams,
 final values, every statistics counter except wall-clock — to a
-standalone ``simulate()``, *regardless of the result transport* (shared
-memory or pickle) and across worker crashes.  These tests pin that, plus
-the operational surface: crash detection with restart + requeue, retry
-budgets, close()/context-manager shutdown, and the shm-unavailable
-pickle fallback.
+standalone ``simulate()``, through the packed-record result queue, for
+chunks of any size and across worker crashes.  These tests pin that,
+plus the operational surface: crash detection with restart + requeue,
+retry budgets and close()/context-manager shutdown.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import signal
 import pytest
 
 from repro.config import cdm_config, ddm_config
-from repro.core import service as service_module
 from repro.core.batch import simulate_batch
 from repro.core.engine import simulate
 from repro.core.service import SimulationService
@@ -56,22 +54,17 @@ def assert_results_identical(result, standalone, netlist, context=""):
 
 
 # ----------------------------------------------------------------------
-# parity: shm and pickle transports, both engines, both delay modes
+# parity: every engine, both delay modes
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("shm", [True, False], ids=["shm", "pickle"])
 @pytest.mark.parametrize("engine_kind", ["reference", "compiled", "vector"])
 @pytest.mark.parametrize("mode", ["ddm", "cdm"])
-def test_service_parity_with_standalone(mult4, mode, engine_kind, shm,
-                                        monkeypatch):
+def test_service_parity_with_standalone(mult4, mode, engine_kind):
     config = ddm_config() if mode == "ddm" else cdm_config()
     stimuli = common.paper_stimulus_batch()
-    if not shm:
-        monkeypatch.setattr(service_module, "_shared_memory", None)
     with SimulationService(
         mult4, config=config, workers=2, engine_kind=engine_kind,
     ) as service:
-        assert service.transport == ("shm" if shm else "pickle")
         batch = service.run_batch(stimuli)
     assert len(batch) == len(stimuli)
     for position, stimulus in enumerate(stimuli):
@@ -82,28 +75,6 @@ def test_service_parity_with_standalone(mult4, mode, engine_kind, shm,
         assert_results_identical(
             batch[position], standalone, mult4,
             context="%s/%s vector %d" % (mode, engine_kind, position),
-        )
-
-
-def test_shm_and_pickle_transports_bit_identical(mult4, monkeypatch):
-    """The two transports of the *same* workload agree record-for-record."""
-    stimuli = common.paper_stimulus_batch()
-    config = ddm_config()
-    with SimulationService(
-        mult4, config=config, workers=2, engine_kind="compiled",
-    ) as shm_service:
-        assert shm_service.transport == "shm"
-        via_shm = shm_service.run_batch(stimuli)
-    monkeypatch.setattr(service_module, "_shared_memory", None)
-    with SimulationService(
-        mult4, config=config, workers=2, engine_kind="compiled",
-    ) as pickle_service:
-        assert pickle_service.transport == "pickle"
-        via_pickle = pickle_service.run_batch(stimuli)
-    for position in range(len(stimuli)):
-        assert_results_identical(
-            via_shm[position], via_pickle[position], mult4,
-            context="vector %d" % position,
         )
 
 
@@ -147,19 +118,15 @@ def test_warm_service_survives_many_batches(mult4):
         assert service.worker_restarts == 0
 
 
-@pytest.mark.parametrize("shm", [True, False], ids=["shm", "pickle"])
-def test_chunked_batches_bit_identical_to_unchunked(mult4, shm, monkeypatch):
-    """``chunk > 1`` is pure transport amortisation: results are
-    bit-identical to the per-vector dispatch on both transports, in
-    input order, including a ragged final chunk."""
+def test_chunked_batches_bit_identical_to_unchunked(mult4):
+    """``chunk > 1`` is pure queue amortisation: results are
+    bit-identical to the per-vector dispatch, in input order, including
+    a ragged final chunk."""
     stimuli = common.paper_stimulus_batch() * 2  # 10 vectors, chunk 4 -> ragged
     config = ddm_config()
-    if not shm:
-        monkeypatch.setattr(service_module, "_shared_memory", None)
     with SimulationService(
         mult4, config=config, workers=2, engine_kind="compiled",
     ) as service:
-        assert service.transport == ("shm" if shm else "pickle")
         unchunked = service.submit_batch(stimuli).wait()
         chunked = service.submit_batch(stimuli, chunk=4).wait()
         whole = service.submit_batch(stimuli, chunk=len(stimuli)).wait()
@@ -226,35 +193,31 @@ def test_as_completed_yields_every_vector(mult4):
         assert seen[index].final_values == standalone.final_values
 
 
-def test_shm_buffer_grows_for_large_traces(mult4):
-    """A payload past the initial 64 KiB segment forces buffer growth;
-    results stay bit-identical before, across and after the growth."""
+def test_large_chunk_arrives_intact(mult4):
+    """A chunk whose packed record block is past 64 KiB crosses the
+    result queue in one message, bit-identical to standalone runs."""
     input_names = [net.name for net in mult4.primary_inputs]
     small = random_vector_batch(
         input_names, batch=2, count=2, period=2.0, base_seed=3
     )
-    # ~75 KB of packed records on this workload: one growth step.
     large = random_vector_batch(
         input_names, batch=2, count=30, period=2.0, base_seed=3
     )
+    stimuli = small + large + small
+    standalone = [
+        simulate(mult4, stimulus, config=ddm_config(), engine_kind="compiled")
+        for stimulus in stimuli
+    ]
+    block_bytes = sum(len(pack_result(result)[0]) for result in standalone)
+    assert block_bytes > 64 * 1024
     with SimulationService(
         mult4, config=ddm_config(), workers=1, engine_kind="compiled",
     ) as service:
-        assert service.transport == "shm"
-        ordered = service.run_batch(small + large + small)
-        worker = service._workers[0]
-        assert worker.last_segment is not None
-        assert worker.last_segment.endswith("g2"), (
-            "expected one buffer growth, last segment %r"
-            % worker.last_segment
-        )
-    for position, stimulus in enumerate(small + large + small):
-        standalone = simulate(
-            mult4, stimulus, config=ddm_config(), engine_kind="compiled"
-        )
+        ordered = service.submit_batch(stimuli, chunk=len(stimuli)).wait()
+    for position, want in enumerate(standalone):
         assert_results_identical(
-            ordered[position], standalone, mult4,
-            context="growth vector %d" % position,
+            ordered[position], want, mult4,
+            context="large-chunk vector %d" % position,
         )
 
 
@@ -516,7 +479,6 @@ def test_failed_construction_leaves_closeable_wreckage(mult4):
     service._closed = False
     service._workers = []
     service._result_queue = None
-    service._attachments = {}
     service.close()
     assert service.closed
 
@@ -558,29 +520,6 @@ def test_config_service_knobs_flow_through(mult4):
     with SimulationService(mult4, config=config) as service:
         assert service.workers == 3
         assert service.engine_kind == "compiled"
-        # The platform alone picks the transport.
-        assert service.transport == (
-            "shm" if service_module._shm_available() else "pickle"
-        )
-
-
-def test_shm_unavailable_falls_back_to_pickle(mult4, monkeypatch):
-    """Platforms without shared memory still serve bit-identical results."""
-    monkeypatch.setattr(service_module, "_shared_memory", None)
-    stimuli = common.paper_stimulus_batch()
-    with SimulationService(
-        mult4, config=ddm_config(), workers=2, engine_kind="compiled",
-    ) as service:
-        assert service.transport == "pickle"
-        batch = service.run_batch(stimuli)
-    for position, stimulus in enumerate(stimuli):
-        standalone = simulate(
-            mult4, stimulus, config=ddm_config(), engine_kind="compiled"
-        )
-        assert_results_identical(
-            batch[position], standalone, mult4,
-            context="fallback vector %d" % position,
-        )
 
 
 # ----------------------------------------------------------------------

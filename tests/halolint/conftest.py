@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from halolint_helpers import REPO_ROOT
+
 sys.path.insert(0, str(REPO_ROOT))
 
 from tools.halolint import run  # noqa: E402
@@ -40,8 +40,3 @@ def lint_tree(tmp_path):
         return run(tmp_path, **kwargs)
 
     return _lint
-
-
-def findings_for(result, rule_id):
-    """The fresh findings one rule produced, in file/line order."""
-    return [f for f in result.report.findings if f.rule == rule_id]

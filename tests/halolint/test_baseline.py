@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import findings_for
+from halolint_helpers import findings_for
 
 from tools.halolint import Baseline, run
 from tools.halolint.baseline import fingerprint

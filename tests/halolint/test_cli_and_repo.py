@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from conftest import REPO_ROOT, findings_for
+from halolint_helpers import REPO_ROOT, findings_for
 
 from tools.halolint import Baseline, run
 from tools.halolint.cli import DEFAULT_BASELINE, main

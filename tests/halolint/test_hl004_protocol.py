@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import findings_for
+from halolint_helpers import findings_for
 
 CLIENT = "src/repro/server/client.py"
 APP = "src/repro/server/app.py"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import findings_for
+from halolint_helpers import findings_for
 
 MOD = "src/repro/core/pathmath.py"
 

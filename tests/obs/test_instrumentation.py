@@ -163,6 +163,25 @@ def test_service_merges_worker_engine_metrics(mult4):
     assert chunks.cumulative_counts()[-1] >= 1
 
 
+def test_forked_worker_does_not_ship_the_parents_counts(mult4):
+    """A worker inherits the parent's registry over ``fork``; counts the
+    parent published before the pool started must not come back as the
+    worker's first delta and be merged a second time."""
+    config = ddm_config(record_traces=False)
+    stimuli = _stimuli(mult4, batch=2)
+    _drain()
+    for stimulus in _stimuli(mult4, batch=5, seed=29):
+        simulate(mult4, stimulus, config=config, engine_kind="compiled")
+    # No drain here: the five in-process runs are still in the registry
+    # when the worker starts.
+    with SimulationService(
+        mult4, config=config, workers=1, engine_kind="compiled"
+    ) as service:
+        service.run_batch(stimuli)
+    runs = _delta().get("halotis_engine_runs_total")
+    assert runs.value(engine="compiled") == 5 + len(stimuli)
+
+
 class _CrashOnceStimulus:
     """Hard-crashes the first worker that touches it, then runs
     normally (the flag file records the crash already happened).

@@ -432,6 +432,38 @@ def test_register_rejects_mistyped_and_oversized_fields(client, server,
     }
 
 
+@pytest.mark.parametrize("fields", [
+    {"name": None},
+    {"name": 17},
+    {"name": ["c17"]},
+    {"name": "typed", "engine": None},
+    {"name": "typed", "engine": ["compiled"]},
+], ids=["name-null", "name-number", "name-list", "engine-null",
+        "engine-list"])
+def test_register_rejects_non_string_name_and_engine(fields):
+    """Raw JSON values reach the registry's checks un-stringified: a
+    null name is not the netlist ``"None"``."""
+    server = start_server()
+    try:
+        with SimulationClient(server.host, server.port) as client:
+            with pytest.raises(ServerError) as rejected:
+                client.call("register",
+                            source={"kind": "builtin", "name": "c17"},
+                            **fields)
+            assert rejected.value.kind == "bad-frame"
+            assert client.list_netlists() == []
+    finally:
+        stop_server(server)
+
+
+@pytest.mark.parametrize("name", [None, 17, ["c17"]],
+                         ids=["null", "number", "list"])
+def test_unregister_rejects_non_string_name(client, name):
+    with pytest.raises(ServerError) as rejected:
+        client.call("unregister", name=name)
+    assert rejected.value.kind == "bad-frame"
+
+
 def test_register_accepts_the_worker_limit(client, server):
     # Registration alone spawns nothing: pools start on the first
     # simulate, which this test never sends.
